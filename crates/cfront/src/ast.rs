@@ -622,24 +622,44 @@ pub fn print_func(f: &CFunc) -> String {
 
 /// Render a whole translation unit.
 pub fn print_program(p: &CProgram) -> String {
-    let mut out = String::new();
-    for (name, v) in &p.defines {
+    let texts: Vec<String> = p.functions.iter().map(print_func).collect();
+    print_unit(&p.defines, &p.globals, texts.iter().map(String::as_str))
+}
+
+/// Render a translation unit whose functions are already rendered by
+/// [`print_func`]: the one place a unit's layout (defines, globals,
+/// blank-line separators) is decided. Callers that keep rendered
+/// function texts around splice them in here instead of re-printing
+/// their ASTs.
+pub fn print_unit<'a, I>(
+    defines: &[(String, i64)],
+    globals: &[(String, CType)],
+    functions: I,
+) -> String
+where
+    I: IntoIterator<Item = &'a str>,
+    I::IntoIter: Clone,
+{
+    let functions = functions.into_iter();
+    let text_len: usize = functions.clone().map(|f| f.len() + 1).sum();
+    let mut out = String::with_capacity(text_len + 32 * (defines.len() + globals.len() + 2));
+    for (name, v) in defines {
         writeln!(out, "#define {name} {v}").unwrap();
     }
-    if !p.defines.is_empty() {
+    if !defines.is_empty() {
         out.push('\n');
     }
-    for (name, ty) in &p.globals {
+    for (name, ty) in globals {
         writeln!(out, "{};", ty.decl(name)).unwrap();
     }
-    if !p.globals.is_empty() {
+    if !globals.is_empty() {
         out.push('\n');
     }
-    for (i, f) in p.functions.iter().enumerate() {
+    for (i, f) in functions.enumerate() {
         if i > 0 {
             out.push('\n');
         }
-        out.push_str(&print_func(f));
+        out.push_str(f);
     }
     out
 }

@@ -21,8 +21,8 @@ pub mod sema;
 pub mod token;
 
 pub use ast::{
-    print_func, print_program, CBinOp, CExpr, CFunc, CProgram, CStmt, CType, CUnOp, OmpClauses,
-    Schedule,
+    print_func, print_program, print_unit, CBinOp, CExpr, CFunc, CProgram, CStmt, CType, CUnOp,
+    OmpClauses, Schedule,
 };
 pub use lower::{lower_program, LowerOptions, OmpRuntime};
 pub use parser::parse_program;

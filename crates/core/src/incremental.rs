@@ -1,18 +1,19 @@
 //! Incremental re-preparation: re-prepare only the functions an edit
-//! touched, transplanting them into a clone of the previous prepared
-//! module.
+//! touched, transplanting them into the previous prepared module.
 //!
 //! The daemon's UPDATE fast path (see `splendid-daemon`'s session module)
 //! hashes per-function source spans instead of re-parsing the module; the
 //! deferred preparation work then lands here at the next DECOMPILE. Given
 //! the previous [`PreparedModule`] and a *mini-module* text — the shared
 //! preamble (module header, globals, debug variables) plus only the dirty
-//! root functions and their outlined `_polly_parN` regions — [`reprepare`]
-//! parses and prepares just those bytes and splices the resulting prepared
-//! functions into a clone of the previous module. Cost is proportional to
-//! the edit, not the module: for a 1-of-16-kernel edit the mini-module is
-//! ~1/16th of the text, so parse + detransform (the two dominant UPDATE
-//! costs) shrink by the same factor.
+//! root functions and their outlined `_polly_parN` regions —
+//! [`reprepare_in_place`] parses and prepares just those bytes and splices
+//! the resulting prepared functions into the previous module, which the
+//! caller owns outright, so nothing else of it is copied. Cost is
+//! proportional to the edit, not the module: for a 1-of-16-kernel edit the
+//! mini-module is ~1/16th of the text, so parse + detransform (the two
+//! dominant UPDATE costs) shrink by the same factor. [`reprepare`] is the
+//! same over a clone, for callers that must keep the previous module.
 //!
 //! The transplant is deliberately conservative. Function bodies reference
 //! their module through four channels: interned [`Symbol`]s (re-interned
@@ -21,14 +22,14 @@
 //! byte-identical by construction), and direct function references
 //! (`Callee::Func` / [`Value::Function`]), which a *prepared* function
 //! should no longer contain (regions are inlined back) — if one survives,
-//! [`reprepare`] refuses and the caller falls back to a full
+//! re-preparation refuses and the caller falls back to a full
 //! [`prepare_module`]. Correctness never depends on the incremental path
 //! being taken.
 
 use crate::error::{SplendidError, Stage};
-use crate::fingerprint::{function_fingerprint, ModuleDigests};
+use crate::fingerprint::function_fingerprint;
 use crate::pipeline::{prepare_module, PreparedModule, SplendidOptions, StageTimings};
-use splendid_ir::{parser::parse_module, Callee, FuncId, InstKind, Module, Value};
+use splendid_ir::{parser::parse_module, Callee, FuncId, Function, InstKind, Module, Value};
 
 /// Strip the `_polly_parN` suffix the parallelizer gives outlined region
 /// functions, yielding the root function the region is inlined back into.
@@ -43,18 +44,14 @@ pub fn root_of(name: &str) -> &str {
     name
 }
 
-/// Clone `src_fid` out of `src` and install it as `dst_fid` in `dst`,
-/// re-interning every symbol into `dst`'s table. Arena indices
-/// (globals, debug variables) carry over untouched — the caller
-/// guarantees both modules share a byte-identical preamble. Refuses
-/// functions that reference other functions directly, since `FuncId`s
-/// do not transfer across modules.
-pub fn transplant_function(
-    dst: &mut Module,
-    dst_fid: FuncId,
-    src: &Module,
-    src_fid: FuncId,
-) -> Result<(), String> {
+/// `src_fid` cloned out of `src` with every symbol re-interned into
+/// `dst`'s table, ready to install in `dst`. Arena indices (globals,
+/// debug variables) carry over untouched — the caller guarantees both
+/// modules share a byte-identical preamble. Refuses functions that
+/// reference other functions directly, since `FuncId`s do not transfer
+/// across modules. Only `dst`'s symbol table is touched (on refusal,
+/// with names nothing refers to).
+fn transplanted(dst: &mut Module, src: &Module, src_fid: FuncId) -> Result<Function, String> {
     let mut f = src.func(src_fid).clone();
     f.name = dst.symbols.intern(src.name_of(f.name));
     for p in &mut f.params {
@@ -95,8 +92,7 @@ pub fn transplant_function(
             ));
         }
     }
-    dst.functions[dst_fid.index()] = f;
-    Ok(())
+    Ok(f)
 }
 
 /// True when both modules declare the same globals and debug variables in
@@ -113,14 +109,8 @@ fn preambles_match(a: &Module, b: &Module) -> bool {
 }
 
 /// Re-prepare only `dirty_roots` from `mini_text` and transplant the
-/// results into a clone of `prev`.
-///
-/// `mini_text` must be a well-formed module text consisting of the same
-/// preamble as `prev`'s source plus the dirty root functions and any
-/// outlined regions belonging to them. On any structural surprise — a
-/// missing function, a preamble mismatch, a cross-function reference —
-/// this returns a *recoverable* error and the caller should fall back to
-/// a full [`prepare_module`]; nothing is mutated on failure.
+/// results into a clone of `prev`: [`reprepare_in_place`] for callers
+/// that must keep `prev` unchanged.
 pub fn reprepare(
     prev: &PreparedModule,
     mini_text: &str,
@@ -128,61 +118,81 @@ pub fn reprepare(
     opts: &SplendidOptions,
     timings: &mut StageTimings,
 ) -> Result<PreparedModule, SplendidError> {
+    let mut next = prev.clone();
+    reprepare_in_place(&mut next, mini_text, dirty_roots, opts, timings)?;
+    Ok(next)
+}
+
+/// Re-prepare only `dirty_roots` from `mini_text` and transplant the
+/// results into `prepared`, replacing those functions, their region and
+/// devectorizer reports, and their memoized digests. Everything else of
+/// `prepared` stays where it is: the cost tracks the edit, not the
+/// module.
+///
+/// `mini_text` must be a well-formed module text consisting of the same
+/// preamble as `prepared`'s source plus the dirty root functions and any
+/// outlined regions belonging to them. On any structural surprise — a
+/// missing function, a preamble mismatch, a cross-function reference —
+/// this returns a *recoverable* error and the caller should fall back to
+/// a full [`prepare_module`]. Every check runs before the first change,
+/// so a refused call leaves `prepared`'s functions, reports and digests
+/// as they were.
+pub fn reprepare_in_place(
+    prepared: &mut PreparedModule,
+    mini_text: &str,
+    dirty_roots: &[&str],
+    opts: &SplendidOptions,
+    timings: &mut StageTimings,
+) -> Result<(), SplendidError> {
     let recoverable = |msg: String| SplendidError::recoverable(Stage::Detransform, msg);
     let mini = parse_module(mini_text)
         .map_err(|e| recoverable(format!("incremental parse failed: {e}")))?;
-    if !preambles_match(&prev.module, &mini) {
+    if !preambles_match(&prepared.module, &mini) {
         return Err(recoverable(
             "mini-module preamble does not match the previous module".into(),
         ));
     }
     let mini_prep = prepare_module(&mini, opts, timings)?;
 
-    let mut module = prev.module.clone();
-    // Digests are seeded from the previous module: only the transplanted
-    // functions are re-printed and re-hashed, so fingerprinting cost also
-    // tracks the edit, not the module.
-    let mut functions = prev.digests().functions.clone();
-    let mut regions = Vec::with_capacity(prev.regions.len());
-    for r in &prev.regions {
-        if !dirty_roots.contains(&r.caller_name.as_str()) {
-            regions.push(r.clone());
-        }
-    }
-    regions.extend(mini_prep.regions.iter().cloned());
-    let mut simd_loops = Vec::with_capacity(prev.simd_loops.len());
-    for r in &prev.simd_loops {
-        if !dirty_roots.contains(&r.function.as_str()) {
-            simd_loops.push(r.clone());
-        }
-    }
-    simd_loops.extend(mini_prep.simd_loops.iter().cloned());
-
+    let mut moved = Vec::with_capacity(dirty_roots.len());
     for name in dirty_roots {
-        let dst_fid = module
+        let dst_fid = prepared
+            .module
             .func_by_name(name)
             .ok_or_else(|| recoverable(format!("'{name}' not in the previous module")))?;
         let src_fid = mini_prep
             .module
             .func_by_name(name)
             .ok_or_else(|| recoverable(format!("'{name}' not in the mini-module")))?;
-        transplant_function(&mut module, dst_fid, &mini_prep.module, src_fid)
-            .map_err(recoverable)?;
-        functions[dst_fid.index()] = (name.to_string(), function_fingerprint(&module, dst_fid));
+        let f =
+            transplanted(&mut prepared.module, &mini_prep.module, src_fid).map_err(recoverable)?;
+        moved.push((dst_fid, f));
     }
 
-    let digests = ModuleDigests {
-        context: prev.digests().context,
-        functions,
-    };
-    let prepared = PreparedModule {
-        module,
+    let module = &mut prepared.module;
+    for (fid, f) in moved {
+        module.functions[fid.index()] = f;
+        // Digests, when already computed, are updated for the
+        // transplanted functions only: fingerprinting cost also tracks
+        // the edit. Uncomputed ones stay lazy and see the new bodies.
+        if let Some(digests) = prepared.digests.get_mut() {
+            digests.functions[fid.index()].1 = function_fingerprint(module, fid);
+        }
+    }
+    let PreparedModule {
         regions,
         simd_loops,
-        digests: std::sync::OnceLock::new(),
-    };
-    let _ = prepared.digests.set(digests);
-    Ok(prepared)
+        ..
+    } = mini_prep;
+    prepared
+        .regions
+        .retain(|r| !dirty_roots.contains(&r.caller_name.as_str()));
+    prepared.regions.extend(regions);
+    prepared
+        .simd_loops
+        .retain(|r| !dirty_roots.contains(&r.function.as_str()));
+    prepared.simd_loops.extend(simd_loops);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -269,6 +279,36 @@ mod tests {
         let full_d = full.digests();
         assert_eq!(inc_d.context, full_d.context);
         assert_eq!(inc_d.functions, full_d.functions);
+    }
+
+    #[test]
+    fn in_place_matches_clone_and_refusal_changes_nothing() {
+        let opts = SplendidOptions::default();
+        let mut t = StageTimings::default();
+        let before_text = module_str(&lowered(&[0.25, 0.5, 0.75]));
+        let before = splendid_ir::parser::parse_module(&before_text).unwrap();
+        let prev = prepare_module(&before, &opts, &mut t).unwrap();
+        prev.digests();
+        let after_text = module_str(&lowered(&[0.25, 0.5, 0.875]));
+        let mini = mini_text_for(&after_text, &["kernel2"]);
+
+        let cloned = reprepare(&prev, &mini, &["kernel2"], &opts, &mut t).unwrap();
+        let mut in_place = prev.clone();
+        reprepare_in_place(&mut in_place, &mini, &["kernel2"], &opts, &mut t).unwrap();
+        assert_eq!(in_place.module, cloned.module);
+        assert_eq!(in_place.digests().functions, cloned.digests().functions);
+        assert_eq!(in_place.regions.len(), cloned.regions.len());
+
+        // A refusal found after the first root resolves must not leave
+        // that root transplanted.
+        let mut refused = prev.clone();
+        let mini = mini_text_for(&after_text, &["kernel2"]);
+        assert!(
+            reprepare_in_place(&mut refused, &mini, &["kernel2", "nope"], &opts, &mut t).is_err()
+        );
+        assert_eq!(refused.module, prev.module);
+        assert_eq!(refused.digests().functions, prev.digests().functions);
+        assert_eq!(refused.regions.len(), prev.regions.len());
     }
 
     #[test]

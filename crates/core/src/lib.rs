@@ -52,7 +52,7 @@ pub use error::{panic_message, Severity, SplendidError, Stage};
 pub use fault::{FaultKind, FaultPlan, FaultRng, FaultSpec};
 pub use fingerprint::{function_fingerprint, module_fingerprints};
 pub use pipeline::{
-    assemble_output, decompile, decompile_function, decompile_timed, prepare_module,
-    DecompileOutput, FidelityTier, FunctionOutput, NamingStats, PreparedModule, SplendidOptions,
-    StageTimings, Variant,
+    assemble_output, assemble_rendered, decompile, decompile_function, decompile_timed,
+    prepare_module, DecompileOutput, FidelityTier, FunctionOutput, NamingStats, PreparedModule,
+    RenderedFunction, SplendidOptions, StageTimings, Variant,
 };

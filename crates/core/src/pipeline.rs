@@ -14,7 +14,7 @@ use crate::fault::FaultPlan;
 use crate::literal::emit_literal;
 use crate::naming::{assign_names, assign_register_names, NameOrigin};
 use crate::structure::{structure_function, StructureOptions};
-use splendid_cfront::ast::{print_program, CFunc, CProgram, CStmt, CType};
+use splendid_cfront::ast::{print_func, print_unit, CFunc, CStmt, CType};
 use splendid_ir::{FuncId, MemType, Module, Type};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -151,8 +151,6 @@ impl NamingStats {
 /// Result of decompiling a module.
 #[derive(Debug, Clone)]
 pub struct DecompileOutput {
-    /// The reconstructed translation unit.
-    pub program: CProgram,
     /// Pretty-printed C source.
     pub source: String,
     /// Aggregate naming statistics.
@@ -435,30 +433,101 @@ pub fn decompile_function(
         .unwrap_or_else(|| SplendidError::fatal(Stage::Emit, "no fidelity tier attempted")))
 }
 
+/// A decompiled function together with its C text, rendered once by
+/// [`print_func`] when the function is first emitted.
+///
+/// Both halves sit behind `Arc`s so job slots and the serve cache can
+/// share one entry: a cache hit is two reference-count bumps, and
+/// assembling a unit splices the stored texts instead of re-printing
+/// every AST.
+#[derive(Debug, Clone)]
+pub struct RenderedFunction {
+    /// The decompiled function and its stats.
+    pub output: Arc<FunctionOutput>,
+    /// `print_func(&output.cfunc)`.
+    pub text: Arc<str>,
+}
+
+impl RenderedFunction {
+    /// Render `out` and wrap a copy of it for sharing.
+    ///
+    /// The shared entry is a fresh clone, not `out` itself: a clone's
+    /// vectors and strings are sized to their contents, while the
+    /// emitter's own carry the slack of their growth. A cache holds
+    /// thousands of these for the life of the process, so the slack
+    /// would show up directly in resident memory.
+    pub fn share(out: &FunctionOutput, timings: &mut StageTimings) -> RenderedFunction {
+        let start = Instant::now();
+        let text = Arc::from(print_func(&out.cfunc));
+        timings.emit += start.elapsed();
+        RenderedFunction {
+            output: Arc::new(out.clone()),
+            text,
+        }
+    }
+
+    /// Modify the function and re-render its text. Copy-on-write: an
+    /// output still shared with a cache is cloned first, so the edit
+    /// never reaches other holders.
+    pub fn edit(&mut self, f: impl FnOnce(&mut FunctionOutput)) {
+        f(Arc::make_mut(&mut self.output));
+        self.text = Arc::from(print_func(&self.output.cfunc));
+    }
+}
+
 /// Assemble per-function outputs (in module function order) into the
-/// final [`DecompileOutput`].
+/// final [`DecompileOutput`], rendering each function first.
 pub fn assemble_output(
     prepared: &PreparedModule,
     functions: Vec<FunctionOutput>,
     timings: &mut StageTimings,
 ) -> DecompileOutput {
-    let mut program = CProgram {
-        globals: prepared.c_globals(),
-        ..Default::default()
-    };
+    let start = Instant::now();
+    let texts: Vec<String> = functions.iter().map(|f| print_func(&f.cfunc)).collect();
+    timings.emit += start.elapsed();
+    assemble_parts(
+        prepared,
+        functions.iter().zip(texts.iter().map(String::as_str)),
+        timings,
+    )
+}
+
+/// Assemble already-rendered functions (in module function order) into
+/// the final [`DecompileOutput`]: the unit's text is the functions'
+/// stored texts spliced together, with no AST printed.
+pub fn assemble_rendered(
+    prepared: &PreparedModule,
+    functions: &[RenderedFunction],
+    timings: &mut StageTimings,
+) -> DecompileOutput {
+    assemble_parts(
+        prepared,
+        functions.iter().map(|f| (&*f.output, &*f.text)),
+        timings,
+    )
+}
+
+/// The one assembly path: sum the per-function stats and splice the
+/// rendered texts into a unit with [`print_unit`].
+fn assemble_parts<'a, I>(
+    prepared: &PreparedModule,
+    parts: I,
+    timings: &mut StageTimings,
+) -> DecompileOutput
+where
+    I: Iterator<Item = (&'a FunctionOutput, &'a str)> + Clone,
+{
     let mut naming_stats = NamingStats::default();
     let mut gotos = 0;
-    for f in functions {
+    for (f, _) in parts.clone() {
         naming_stats.total_vars += f.naming.total_vars;
         naming_stats.restored_vars += f.naming.restored_vars;
         gotos += f.gotos;
-        program.functions.push(f.cfunc);
     }
     let start = Instant::now();
-    let source = print_program(&program);
+    let source = print_unit(&[], &prepared.c_globals(), parts.map(|(_, text)| text));
     timings.emit += start.elapsed();
     DecompileOutput {
-        program,
         source,
         naming: naming_stats,
         regions: prepared.regions.clone(),

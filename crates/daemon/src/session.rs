@@ -18,17 +18,19 @@
 //!   DECOMPILE, which is the first request that needs the IR.
 //! * DECOMPILE re-prepares lazily. When only a minority of roots is
 //!   dirty it builds a *mini-module* (preamble + dirty-root spans) and
-//!   [`splendid_core::incremental::reprepare`]s just those bytes,
-//!   transplanting the prepared functions into a clone of the previous
-//!   prepared module — parse + detransform cost tracks the edit, not the
-//!   module. Any structural surprise falls back to a full prepare;
+//!   [`splendid_core::incremental::reprepare_in_place`]s just those bytes,
+//!   transplanting the prepared functions into the session's prepared
+//!   module — parse + detransform cost tracks the edit, not the module.
+//!   The previous job released its reference before its handle resolved,
+//!   so the session owns the module outright and nothing of it is
+//!   copied. Any structural surprise falls back to a full prepare;
 //!   correctness never depends on the incremental path. Unchanged
 //!   functions keep their content fingerprints and come back from the
 //!   content-addressed serve cache; with nothing dirty at all, the
 //!   retained last result answers without touching the scheduler.
 
 use splendid_core::fingerprint::{span_fingerprints_into, SpanFingerprints};
-use splendid_core::incremental::{reprepare, root_of};
+use splendid_core::incremental::{reprepare_in_place, root_of};
 use splendid_core::{prepare_module, PreparedModule, SplendidOptions, StageTimings, Variant};
 use splendid_ir::{parser::parse_module, ModuleSpans};
 use splendid_serve::{Busy, JobError, JobInput, JobRequest, Scheduler, ServeStats};
@@ -307,8 +309,10 @@ impl Session {
             }
             let roots: Vec<&str> = self.dirty_roots.iter().map(|s| s.as_str()).collect();
             let mut timings = StageTimings::default();
-            if let Ok(p) = reprepare(&self.prepared, &mini, &roots, &self.options, &mut timings) {
-                self.prepared = Arc::new(p);
+            // Unique once the last job resolved; `make_mut` copies only
+            // when a timed-out job is still winding down with a share.
+            let prepared = Arc::make_mut(&mut self.prepared);
+            if reprepare_in_place(prepared, &mini, &roots, &self.options, &mut timings).is_ok() {
                 self.prepared_stale = false;
                 return Ok(());
             }
@@ -530,6 +534,29 @@ mod tests {
         let mut fresh = Session::open(2, "t".into(), Variant::Full, &edited).unwrap();
         let full = fresh.decompile(&scheduler).unwrap();
         assert_eq!(incremental.source, full.source);
+    }
+
+    #[test]
+    fn finished_jobs_leave_the_session_sole_owner() {
+        let scheduler = Scheduler::new(ServeConfig {
+            workers: 2,
+            ..Default::default()
+        });
+        let mut session = Session::open(
+            1,
+            "t".into(),
+            Variant::Full,
+            &module_text(&[0.25, 0.5, 0.75]),
+        )
+        .unwrap();
+        for c in [0.125, 0.375, 0.625, 0.875] {
+            session.decompile(&scheduler).unwrap();
+            // The job dropped its module reference before resolving, so
+            // the next re-prepare edits in place instead of copying.
+            assert!(Arc::get_mut(&mut session.prepared).is_some());
+            assert_eq!(scheduler.stats().in_flight, 0);
+            session.update(&module_text(&[0.25, c, 0.75]));
+        }
     }
 
     #[test]

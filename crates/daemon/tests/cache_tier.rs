@@ -4,7 +4,9 @@
 //! (validation, NoCache on tier-less daemons, byte fidelity).
 
 use splendid_cfront::{lower_program, parse_program, LowerOptions};
-use splendid_core::{decompile, SplendidOptions};
+use splendid_core::{
+    assemble_output, decompile_function, prepare_module, SplendidOptions, StageTimings,
+};
 use splendid_daemon::{Daemon, DaemonClient, DaemonConfig, ErrorCode, Request, Response};
 use splendid_ir::Module;
 use splendid_parallel::{parallelize_module, ParallelizeOptions};
@@ -119,8 +121,16 @@ fn cache_put_validates_and_serves_bytes_back() {
     // A real encoded module record is accepted and comes back
     // byte-for-byte (the write-behind makes the readback eventual).
     let module = test_module(&[0.25, 0.5]);
-    let output = decompile(&module, &SplendidOptions::default()).unwrap();
-    let blob = codec::encode_module_record(&output);
+    let opts = SplendidOptions::default();
+    let mut t = StageTimings::default();
+    let prepared = prepare_module(&module, &opts, &mut t).unwrap();
+    let functions: Vec<_> = prepared
+        .module
+        .func_ids()
+        .map(|fid| decompile_function(&prepared, fid, &opts, &mut t).unwrap())
+        .collect();
+    let output = assemble_output(&prepared, functions.clone(), &mut t);
+    let blob = codec::encode_module_record(&prepared.c_globals(), functions.iter(), &output);
     assert!(client.cache_put(99, &blob).unwrap());
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {

@@ -2,9 +2,12 @@
 //!
 //! Keys are stable 64-bit FNV-1a digests of `(module context fingerprint,
 //! canonically printed function IR, options fingerprint)` — see
-//! [`crate::scheduler`] for the exact key construction. Values are the
-//! decompiled [`FunctionOutput`]s, shared via `Arc` so a hit costs one
-//! clone of a pointer, not of a C AST.
+//! [`crate::scheduler`] for the exact key construction. Values are
+//! [`RenderedFunction`]s: the decompiled [`FunctionOutput`] plus its C
+//! text, rendered once when the function was first emitted. Job slots
+//! share the same `Arc`s, so a hit costs two reference-count bumps, not a
+//! copy of a C AST, and assembling a unit splices the stored texts
+//! instead of re-printing them.
 //!
 //! The store is a bounded LRU: an intrusive doubly-linked list threaded
 //! through a slab of nodes, plus a key → slot index map. Everything sits
@@ -21,7 +24,8 @@
 
 use crate::codec;
 use splendid_cachestore::{CacheStore, StoreConfig};
-use splendid_core::FunctionOutput;
+use splendid_cfront::print_func;
+use splendid_core::{FunctionOutput, RenderedFunction};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,7 +42,7 @@ const NIL: usize = usize::MAX;
 
 struct Node {
     key: u64,
-    value: Arc<FunctionOutput>,
+    value: RenderedFunction,
     prev: usize,
     next: usize,
 }
@@ -139,6 +143,24 @@ impl FunctionCache {
 
     /// Look up a key, promoting it to most-recently-used on a hit.
     pub fn get(&self, key: u64) -> Option<Arc<FunctionOutput>> {
+        self.get_rendered(key).map(|hit| hit.output)
+    }
+
+    /// Insert (or refresh) an output, rendering its text here.
+    pub fn insert(&self, key: u64, value: Arc<FunctionOutput>) {
+        let text = Arc::from(print_func(&value.cfunc));
+        self.insert_rendered(
+            key,
+            RenderedFunction {
+                output: value,
+                text,
+            },
+        );
+    }
+
+    /// Look up a key with its rendered text, promoting it to
+    /// most-recently-used on a hit. The entry is shared, not copied.
+    pub fn get_rendered(&self, key: u64) -> Option<RenderedFunction> {
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -149,7 +171,7 @@ impl FunctionCache {
                 lru.unlink(idx);
                 lru.push_front(idx);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&lru.nodes[idx].value))
+                Some(lru.nodes[idx].value.clone())
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -158,9 +180,9 @@ impl FunctionCache {
         }
     }
 
-    /// Insert (or refresh) an entry, evicting from the LRU tail past
-    /// capacity.
-    pub fn insert(&self, key: u64, value: Arc<FunctionOutput>) {
+    /// Insert (or refresh) a rendered entry, evicting from the LRU tail
+    /// past capacity.
+    pub fn insert_rendered(&self, key: u64, value: RenderedFunction) {
         if self.capacity == 0 {
             return;
         }

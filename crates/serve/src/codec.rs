@@ -6,8 +6,8 @@
 //!
 //! * **function records** — a [`FunctionOutput`] (the C AST plus its
 //!   per-function stats), keyed by [`crate::scheduler::function_cache_key`];
-//! * **module records** — a whole [`DecompileOutput`] (translation unit,
-//!   printed source, region reports), keyed by
+//! * **module records** — a whole job's output (the translation unit's
+//!   globals and function ASTs, printed source, region reports), keyed by
 //!   [`crate::scheduler::module_cache_key`]. These are what make warm
 //!   restarts fast: a hit answers a `Text` job before the module is even
 //!   parsed, skipping parse + detransform entirely.
@@ -20,9 +20,8 @@
 //! granularity cannot decode into out-of-bounds values because every
 //! discriminant and length is checked, and recursion depth is capped.
 
-use splendid_cfront::ast::{
-    CBinOp, CExpr, CFunc, CProgram, CStmt, CType, CUnOp, OmpClauses, Schedule,
-};
+use crate::validate::{count_annotations, ValidateOutcome};
+use splendid_cfront::ast::{CBinOp, CExpr, CFunc, CStmt, CType, CUnOp, OmpClauses, Schedule};
 use splendid_core::detransform::RegionReport;
 use splendid_core::{DecompileOutput, FidelityTier, FunctionOutput, NamingStats};
 
@@ -738,22 +737,26 @@ pub fn decode_function_record(blob: &[u8]) -> R<FunctionOutput> {
     })
 }
 
-/// Encode a whole-job [`DecompileOutput`] as a module record blob.
-pub fn encode_module_record(out: &DecompileOutput) -> Vec<u8> {
+/// Encode a whole job as a module record blob: the unit's `globals`
+/// and `functions` (in module order, as the job's slots hold them) plus
+/// the assembled `out`. The layout is the one records have always had
+/// — a translation unit with no `#define`s, then the source and stats —
+/// so records written by earlier builds keep decoding.
+pub fn encode_module_record<'a>(
+    globals: &[(String, CType)],
+    functions: impl ExactSizeIterator<Item = &'a FunctionOutput>,
+    out: &DecompileOutput,
+) -> Vec<u8> {
     let mut e = Enc::with_header(KIND_MODULE);
-    e.seq_len(out.program.defines.len());
-    for (name, v) in &out.program.defines {
-        e.str(name);
-        e.i64(*v);
-    }
-    e.seq_len(out.program.globals.len());
-    for (name, ty) in &out.program.globals {
+    e.seq_len(0); // defines
+    e.seq_len(globals.len());
+    for (name, ty) in globals {
         e.str(name);
         enc_ctype(&mut e, ty);
     }
-    e.seq_len(out.program.functions.len());
-    for f in &out.program.functions {
-        enc_func(&mut e, f);
+    e.seq_len(functions.len());
+    for f in functions {
+        enc_func(&mut e, &f.cfunc);
     }
     e.str(&out.source);
     enc_naming(&mut e, &out.naming);
@@ -767,27 +770,38 @@ pub fn encode_module_record(out: &DecompileOutput) -> Vec<u8> {
     e.buf
 }
 
-/// Decode a module record blob. Any failure means "cache miss".
-pub fn decode_module_record(blob: &[u8]) -> R<DecompileOutput> {
+/// A decoded module record: the job output it answers with, and what
+/// the scheduler reports about the unit without keeping its ASTs.
+#[derive(Debug, Clone)]
+pub struct ModuleRecord {
+    /// The stored job output.
+    pub output: DecompileOutput,
+    /// Functions in the unit.
+    pub functions: usize,
+    /// Functions carrying a verified annotation.
+    pub verified: usize,
+    /// Functions carrying an unverified annotation.
+    pub unverified: usize,
+}
+
+/// Decode a module record blob, counting verdict annotations as the
+/// function ASTs go by. Any failure means "cache miss".
+pub fn decode_module_record(blob: &[u8]) -> R<ModuleRecord> {
     let mut d = Dec::expect_header(blob, KIND_MODULE)?;
     let n = d.seq_len()?;
-    let mut defines = Vec::with_capacity(n.min(256));
     for _ in 0..n {
-        let name = d.str()?;
-        let v = d.i64()?;
-        defines.push((name, v));
+        d.str()?;
+        d.i64()?;
     }
     let n = d.seq_len()?;
-    let mut globals = Vec::with_capacity(n.min(256));
     for _ in 0..n {
-        let name = d.str()?;
-        let ty = dec_ctype(&mut d, 0)?;
-        globals.push((name, ty));
+        d.str()?;
+        dec_ctype(&mut d, 0)?;
     }
-    let n = d.seq_len()?;
-    let mut functions = Vec::with_capacity(n.min(256));
-    for _ in 0..n {
-        functions.push(dec_func(&mut d)?);
+    let functions = d.seq_len()?;
+    let mut verdicts = ValidateOutcome::default();
+    for _ in 0..functions {
+        count_annotations(&dec_func(&mut d)?, &mut verdicts);
     }
     let source = d.str()?;
     let naming = dec_naming(&mut d)?;
@@ -802,16 +816,16 @@ pub fn decode_module_record(blob: &[u8]) -> R<DecompileOutput> {
     }
     let gotos = d.usize()?;
     d.finished()?;
-    Ok(DecompileOutput {
-        program: CProgram {
-            defines,
-            globals,
-            functions,
+    Ok(ModuleRecord {
+        output: DecompileOutput {
+            source,
+            naming,
+            regions,
+            gotos,
         },
-        source,
-        naming,
-        regions,
-        gotos,
+        functions,
+        verified: verdicts.verified,
+        unverified: verdicts.unverified,
     })
 }
 
@@ -966,37 +980,80 @@ mod tests {
         assert_eq!(back.tier, out.tier);
     }
 
-    #[test]
-    fn module_record_roundtrip() {
-        let out = DecompileOutput {
-            program: CProgram {
-                defines: vec![("N".into(), 4000), ("M".into(), -1)],
-                globals: vec![(
-                    "A".into(),
-                    CType::Array(Box::new(CType::Double), vec![4000]),
-                )],
-                functions: vec![sample_func()],
+    /// The module record the golden-bytes test pins: a two-function
+    /// unit whose first function carries a verified annotation.
+    fn golden_unit() -> (Vec<(String, CType)>, Vec<FunctionOutput>, DecompileOutput) {
+        let init = FunctionOutput {
+            cfunc: CFunc {
+                name: "init".into(),
+                ret: CType::Void,
+                params: vec![],
+                body: vec![
+                    CStmt::Comment(crate::validate::VERIFIED_ANNOTATION.into()),
+                    CStmt::Return(None),
+                ],
             },
-            source: "void kernel_2mm() { /* ... */ }\n".into(),
+            naming: NamingStats::default(),
+            gotos: 0,
+            tier: FidelityTier::Natural,
+        };
+        let globals = vec![
+            (
+                "A".into(),
+                CType::Array(Box::new(CType::Double), vec![16, 18]),
+            ),
+            ("alpha".into(), CType::Double),
+        ];
+        let out = DecompileOutput {
+            source: "double A[16][18];\ndouble alpha;\n\nvoid init() {\n}\n".into(),
             naming: NamingStats {
                 total_vars: 9,
-                restored_vars: 9,
+                restored_vars: 7,
             },
             regions: vec![RegionReport {
-                region_name: "region_0".into(),
+                region_name: "kernel_2mm_polly_par0".into(),
                 caller_name: "kernel_2mm".into(),
                 setup_removed: 12,
             }],
-            gotos: 0,
+            gotos: 1,
         };
-        let blob = encode_module_record(&out);
+        (globals, vec![init, sample_output()], out)
+    }
+
+    #[test]
+    fn module_record_bytes_match_earlier_builds() {
+        // Written by the encoder as it stood when jobs kept a whole
+        // `CProgram` (no defines, the unit's globals and functions): a
+        // store filled by an earlier build must keep hitting.
+        const GOLDEN: &str = concat!(
+            "53504356020200000000020000000100000041060402000000100000000000000012000000000000",
+            "0005000000616c706861040200000004000000696e69740000000000020000000e1200000073706c",
+            "656e6469643a20766572696669656406000a0000006b65726e656c5f326d6d000300000001000000",
+            "410604020000001000000000000000120000000000000005000000616c70686104010000006e0104",
+            "0000000e1600000073706c656e6469643a206e61747572616c20746965720a010108000000010100",
+            "0000010000006a01000000010000002b010000007303010001000000690301000000000000000000",
+            "01060502010000006902010000006e01080201000000690100000100000000000000030000000205",
+            "010204000000736b6970010000000108030201000000410200000002010000006900000000000000",
+            "000000070404030000006578700100000001000000000000e03f010000000c04000000646f6e650d",
+            "04000000646f6e650b050100000007010000000400000000000000000000000000060a0201000000",
+            "69000300000000000000060031000000646f75626c6520415b31365d5b31385d3b0a646f75626c65",
+            "20616c7068613b0a0a766f696420696e69742829207b0a7d0a090000000000000007000000000000",
+            "0001000000150000006b65726e656c5f326d6d5f706f6c6c795f706172300a0000006b65726e656c",
+            "5f326d6d0c000000000000000100000000000000",
+        );
+        let (globals, functions, out) = golden_unit();
+        let blob = encode_module_record(&globals, functions.iter(), &out);
+        let hex: String = blob.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
+
         let back = decode_module_record(&blob).unwrap();
-        assert_eq!(back.program, out.program);
-        assert_eq!(back.source, out.source);
-        assert_eq!(back.naming, out.naming);
-        assert_eq!(back.regions.len(), 1);
-        assert_eq!(back.regions[0].region_name, "region_0");
-        assert_eq!(back.gotos, out.gotos);
+        assert_eq!(back.output.source, out.source);
+        assert_eq!(back.output.naming, out.naming);
+        assert_eq!(back.output.regions.len(), 1);
+        assert_eq!(back.output.regions[0].region_name, "kernel_2mm_polly_par0");
+        assert_eq!(back.output.gotos, out.gotos);
+        assert_eq!(back.functions, 2);
+        assert_eq!((back.verified, back.unverified), (1, 0));
     }
 
     #[test]

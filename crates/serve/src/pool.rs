@@ -20,6 +20,12 @@
 //!   silently lost. Poisoned mutexes are recovered rather than propagated:
 //!   the queues hold only owned task boxes, which stay structurally valid
 //!   across an unwind.
+//!
+//! Gauges are exact at completion: a task may hand back a [`Completion`],
+//! which the worker runs only after the task has left the in-flight gauge
+//! and its captures are dropped. Whoever the completion wakes (a job
+//! handle's waiter) therefore never sees the finished task still counted
+//! or still holding what it captured.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -28,7 +34,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// Follow-up a task hands back to its worker; see the module docs.
+pub type Completion = Box<dyn FnOnce() + Send + 'static>;
+
+type Job = Box<dyn FnOnce() -> Option<Completion> + Send + 'static>;
 
 enum Task {
     /// A normal unit of work.
@@ -109,8 +118,9 @@ pub struct PoolRemote {
 
 impl PoolRemote {
     /// Enqueue a task if the pool is still alive; returns whether it was
-    /// accepted.
-    pub fn spawn(&self, task: impl FnOnce() + Send + 'static) -> bool {
+    /// accepted. The task's [`Completion`], if any, runs once the task
+    /// has left the in-flight gauge.
+    pub fn spawn(&self, task: impl FnOnce() -> Option<Completion> + Send + 'static) -> bool {
         match self.shared.upgrade() {
             Some(shared) => {
                 shared.spawn(Task::Run(Box::new(task)));
@@ -148,8 +158,10 @@ impl WorkerPool {
         WorkerPool { shared, handles }
     }
 
-    /// Enqueue a task. Never blocks; the queue is unbounded.
-    pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
+    /// Enqueue a task. Never blocks; the queue is unbounded. The task's
+    /// [`Completion`], if any, runs once the task has left the in-flight
+    /// gauge.
+    pub fn spawn(&self, task: impl FnOnce() -> Option<Completion> + Send + 'static) {
         self.shared.spawn(Task::Run(Box::new(task)));
     }
 
@@ -255,11 +267,17 @@ fn worker_loop(shared: &Shared, me: usize) {
             match task {
                 Task::Run(job) => {
                     shared.in_flight.fetch_add(1, Ordering::SeqCst);
-                    if catch_unwind(AssertUnwindSafe(job)).is_err() {
+                    let completion = catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|_| {
                         shared.panics.fetch_add(1, Ordering::SeqCst);
-                    }
+                        None
+                    });
                     shared.in_flight.fetch_sub(1, Ordering::SeqCst);
                     shared.executed.fetch_add(1, Ordering::SeqCst);
+                    if let Some(completion) = completion {
+                        if catch_unwind(AssertUnwindSafe(completion)).is_err() {
+                            shared.panics.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
                 }
                 // Deliberately outside catch_unwind: unwinds this worker
                 // thread; the RespawnSentinel replaces it.
@@ -294,7 +312,10 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for i in 0..100u32 {
             let tx = tx.clone();
-            pool.spawn(move || tx.send(i).unwrap());
+            pool.spawn(move || {
+                tx.send(i).unwrap();
+                None
+            });
         }
         drop(tx);
         let mut got: Vec<u32> = rx.into_iter().collect();
@@ -314,7 +335,10 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for i in 0..16u32 {
             let tx = tx.clone();
-            pool.spawn(move || tx.send(i).unwrap());
+            pool.spawn(move || {
+                tx.send(i).unwrap();
+                None
+            });
         }
         drop(tx);
         assert_eq!(rx.into_iter().count(), 16, "pool must survive panics");
@@ -338,13 +362,39 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for i in 0..10u32 {
             let tx = tx.clone();
-            pool.spawn(move || tx.send(i).unwrap());
+            pool.spawn(move || {
+                tx.send(i).unwrap();
+                None
+            });
         }
         drop(tx);
         // Injector batching reorders within a batch, but nothing is lost.
         let mut got: Vec<u32> = rx.into_iter().collect();
         got.sort_unstable();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn completion_runs_after_the_task_leaves_the_gauge() {
+        let pool = WorkerPool::new(2);
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..50 {
+            let tx = tx.clone();
+            let shared = Arc::clone(&pool.shared);
+            let held = Arc::new(());
+            let probe = Arc::clone(&held);
+            pool.spawn(move || {
+                let _keep = held;
+                Some(Box::new(move || {
+                    // The task is no longer counted and its captures
+                    // are gone by the time its completion runs.
+                    let gauge = shared.in_flight.load(Ordering::SeqCst);
+                    tx.send((gauge, Arc::strong_count(&probe))).unwrap();
+                }))
+            });
+            let (gauge, holders) = rx.recv().unwrap();
+            assert_eq!((gauge, holders), (0, 1));
+        }
     }
 
     #[test]
@@ -356,7 +406,10 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for i in 0..8u32 {
             let tx = tx.clone();
-            pool.spawn(move || tx.send(i).unwrap());
+            pool.spawn(move || {
+                tx.send(i).unwrap();
+                None
+            });
         }
         drop(tx);
         let mut got: Vec<u32> = rx.into_iter().collect();

@@ -5,9 +5,16 @@
 //!
 //! Execution model: `submit` enqueues one *job task* (parse + module-wide
 //! detransformation). The job task fans its functions out as independent
-//! work items onto the same pool; the last item to finish assembles the
-//! final translation unit and completes the job, so no worker ever blocks
-//! waiting for another — a batch cannot deadlock even on a 1-worker pool.
+//! work items onto the same pool; each item shares its function's cached
+//! [`RenderedFunction`] (or renders a fresh one) into its slot, and the
+//! last item to finish its slot splices the slots' rendered texts into
+//! the translation unit. The job task and every item also hold one share
+//! of the job, which the pool drops only after the task holding it has
+//! left the in-flight gauge and released its module reference (see
+//! [`crate::pool::Completion`]); the last share out resolves the handle.
+//! So no worker ever blocks waiting for another — a batch cannot deadlock
+//! even on a 1-worker pool — and by the time a handle resolves, the job
+//! holds no module or output references and counts in no gauge.
 //!
 //! Fault containment (see `DESIGN.md`, "Fault containment & fidelity
 //! tiers"):
@@ -25,12 +32,13 @@ use crate::admission::{AdmissionController, AdmissionLease, AdmissionTicket, Bus
 use crate::cache::{BlobTiers, FunctionCache};
 use crate::codec;
 use crate::hash::Fnv64;
-use crate::pool::{PoolRemote, WorkerPool};
+use crate::pool::{Completion, PoolRemote, WorkerPool};
 use crate::stats::{ServeStats, StatsSnapshot};
 use crate::validate::CertCache;
 use splendid_core::{
-    assemble_output, decompile_function, panic_message, prepare_module, DecompileOutput,
-    FidelityTier, FunctionOutput, PreparedModule, SplendidOptions, StageTimings, Variant,
+    assemble_rendered, decompile_function, panic_message, prepare_module, DecompileOutput,
+    FidelityTier, FunctionOutput, PreparedModule, RenderedFunction, SplendidOptions, StageTimings,
+    Variant,
 };
 use splendid_ir::{parser::parse_module, FuncId, Module};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -241,19 +249,32 @@ impl StatsSink {
 
 struct JobState {
     name: String,
+    options: SplendidOptions,
     started: Instant,
     deadline: Option<Instant>,
     stage: AtomicU8,
     cancelled: AtomicBool,
+    /// Work items yet to fill their slot; the last one assembles.
     remaining: AtomicUsize,
+    /// Tasks of a fanned-out job that have not yet left the pool: one
+    /// per work item plus the job task. The last one out resolves.
+    shares: AtomicUsize,
     cached: AtomicUsize,
     degraded: AtomicUsize,
     verified: AtomicUsize,
     unverified: AtomicUsize,
-    slots: Mutex<Vec<Option<FunctionOutput>>>,
+    slots: Mutex<Vec<Option<RenderedFunction>>>,
+    /// First work-item failure; reported when the job assembles.
+    failure: Mutex<Option<JobError>>,
+    /// The assembled result, parked until the last share is dropped.
+    assembled: Mutex<Option<Result<JobResult, JobError>>>,
     done: Mutex<Option<Result<JobResult, JobError>>>,
     cv: Condvar,
     stats: StatsSink,
+    /// Function cache shared with the scheduler.
+    cache: Arc<FunctionCache>,
+    /// Where the job's follow-up tasks go.
+    remote: PoolRemote,
     /// Blob-tier chain shared with the scheduler (empty chain when no
     /// persistent/peer tier is configured).
     tiers: Arc<BlobTiers>,
@@ -322,6 +343,11 @@ pub struct JobHandle {
 
 impl JobHandle {
     /// Block until the job completes, fails, or hits its deadline.
+    ///
+    /// A completed or failed job has released everything it held by the
+    /// time this returns: its prepared module, its function outputs, and
+    /// its place in the pool's in-flight gauge. (A deadline can resolve
+    /// the handle while work items are still winding down.)
     pub fn wait(self) -> Result<JobResult, JobError> {
         let state = &self.state;
         let mut done = lock(&state.done);
@@ -652,21 +678,32 @@ impl Scheduler {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
+        let JobRequest {
+            name,
+            input,
+            options,
+        } = request;
         let state = Arc::new(JobState {
-            name: request.name.clone(),
+            name,
+            options,
             started: Instant::now(),
             deadline,
             stage: AtomicU8::new(job_stage::QUEUED),
             cancelled: AtomicBool::new(false),
             remaining: AtomicUsize::new(0),
+            shares: AtomicUsize::new(0),
             cached: AtomicUsize::new(0),
             degraded: AtomicUsize::new(0),
             verified: AtomicUsize::new(0),
             unverified: AtomicUsize::new(0),
             slots: Mutex::new(Vec::new()),
+            failure: Mutex::new(None),
+            assembled: Mutex::new(None),
             done: Mutex::new(None),
             cv: Condvar::new(),
             stats: sink,
+            cache: Arc::clone(&self.cache),
+            remote: self.pool.remote(),
             tiers: Arc::clone(&self.tiers),
             certs: Arc::clone(&self.certs),
             module_key: std::sync::OnceLock::new(),
@@ -676,10 +713,7 @@ impl Scheduler {
             w.register(&state);
         }
         let job_state = Arc::clone(&state);
-        let cache = Arc::clone(&self.cache);
-        let remote = self.pool.remote();
-        self.pool
-            .spawn(move || run_job(request, job_state, cache, remote));
+        self.pool.spawn(move || run_job(input, job_state));
         JobHandle { state }
     }
 
@@ -757,19 +791,27 @@ impl Scheduler {
 }
 
 /// Job task: parse + prepare (with transient retry), then fan out
-/// per-function items.
-fn run_job(
-    request: JobRequest,
-    state: Arc<JobState>,
-    cache: Arc<FunctionCache>,
-    remote: PoolRemote,
-) {
-    if state.expired() {
-        state.complete(Err(state.timeout_error()));
-        return;
+/// per-function items. Returns the completion that either resolves the
+/// job (it finished here) or drops the job task's share of it.
+fn run_job(input: JobInput, state: Arc<JobState>) -> Option<Completion> {
+    match prepare_and_fan_out(input, &state) {
+        Some(result) => Some(Box::new(move || state.complete(result))),
+        None => Some(release(state)),
     }
-    let stats = state.stats.clone();
-    let JobRequest { input, options, .. } = request;
+}
+
+/// The job task's work. `Some` is a result that ends the job here;
+/// `None` means the job was fanned out (and `shares` holds one share for
+/// the job task itself).
+fn prepare_and_fan_out(
+    input: JobInput,
+    state: &Arc<JobState>,
+) -> Option<Result<JobResult, JobError>> {
+    if state.expired() {
+        return Some(Err(state.timeout_error()));
+    }
+    let stats = &state.stats;
+    let options = &state.options;
 
     // Whole-module fast path: a fault-free Text job whose exact text ×
     // options was decompiled before (possibly by a previous process —
@@ -777,43 +819,38 @@ fn run_job(
     // and the per-function fan-out entirely. Fault-injected runs never
     // consult or populate persistent tiers (degraded output must not
     // outlive the process).
-    let input = if let JobInput::Text(text) = input {
+    if let JobInput::Text(text) = &input {
         if options.faults.is_none() && !state.tiers.is_empty() {
-            let key = module_cache_key(&text, &options);
+            let key = module_cache_key(text, options);
             let _ = state.module_key.set(key);
             let hit = state
                 .tiers
                 .get(key)
                 .and_then(|blob| codec::decode_module_record(&blob).ok());
-            if let Some(output) = hit {
-                let functions = output.program.functions.len();
+            if let Some(record) = hit {
+                let functions = record.functions;
                 stats.add(|s| &s.functions_from_cache, functions as u64);
                 // Verdict annotations are baked into the record; report
                 // them as certificate hits (no check ran this process).
-                let verdicts = crate::validate::count_annotations(&output.program);
-                let tagged = (verdicts.verified + verdicts.unverified) as u64;
+                let tagged = (record.verified + record.unverified) as u64;
                 if tagged > 0 {
                     stats.add(|s| &s.certs_from_cache, tagged);
-                    stats.add(|s| &s.functions_verified, verdicts.verified as u64);
-                    stats.add(|s| &s.functions_unverified, verdicts.unverified as u64);
+                    stats.add(|s| &s.functions_verified, record.verified as u64);
+                    stats.add(|s| &s.functions_unverified, record.unverified as u64);
                 }
-                state.complete(Ok(JobResult {
+                return Some(Ok(JobResult {
                     name: state.name.clone(),
-                    output,
+                    output: record.output,
                     functions,
                     cached_functions: functions,
                     degraded_functions: 0,
-                    verified_functions: verdicts.verified,
-                    unverified_functions: verdicts.unverified,
+                    verified_functions: record.verified,
+                    unverified_functions: record.unverified,
                     wall: state.started.elapsed(),
                 }));
-                return;
             }
         }
-        JobInput::Text(text)
-    } else {
-        input
-    };
+    }
 
     let prepared = match catch_unwind(AssertUnwindSafe(
         || -> Result<Arc<PreparedModule>, JobError> {
@@ -829,42 +866,54 @@ fn run_job(
                 }
             };
             state.enter(job_stage::PREPARE);
-            prepare_with_retry(&module, &options, &state, &stats).map(Arc::new)
+            prepare_with_retry(&module, options, state, stats).map(Arc::new)
         },
     )) {
         Ok(Ok(p)) => p,
-        Ok(Err(e)) => return state.complete(Err(e)),
-        Err(payload) => return state.complete(Err(JobError::Panicked(panic_message(payload)))),
+        Ok(Err(e)) => return Some(Err(e)),
+        Err(payload) => return Some(Err(JobError::Panicked(panic_message(payload)))),
     };
 
-    let fids: Vec<FuncId> = prepared.module.func_ids().collect();
-    if fids.is_empty() {
-        state.enter(job_stage::ASSEMBLE);
-        let mut timings = StageTimings::default();
-        let output = assemble_output(&prepared, Vec::new(), &mut timings);
-        stats.record_timings(&timings);
-        finish(&state, &prepared, output);
-        return;
-    }
-
     state.enter(job_stage::FUNCTIONS);
+    let fids: Vec<FuncId> = prepared.module.func_ids().collect();
     *lock(&state.slots) = vec![None; fids.len()];
     state.remaining.store(fids.len(), Ordering::SeqCst);
+    state.shares.store(fids.len() + 1, Ordering::SeqCst);
+    if fids.is_empty() {
+        assemble_job(state, &prepared);
+    }
     for (slot, fid) in fids.into_iter().enumerate() {
-        let item_state = Arc::clone(&state);
-        let prepared = Arc::clone(&prepared);
-        let cache = Arc::clone(&cache);
-        let options = options.clone();
-        let accepted = remote.spawn(move || {
-            let stats = item_state.stats.clone();
-            run_function_item(&item_state, &prepared, fid, slot, &options, &cache, &stats)
+        let item_state = Arc::clone(state);
+        let item_prepared = Arc::clone(&prepared);
+        let accepted = state.remote.spawn(move || {
+            run_function_item(&item_state, &item_prepared, fid, slot);
+            if item_state.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+                assemble_job(&item_state, &item_prepared);
+            }
+            drop(item_prepared);
+            Some(release(item_state))
         });
         if !accepted {
             // Pool already shut down; the job can never finish normally.
-            state.complete(Err(state.timeout_error()));
-            return;
+            return Some(Err(state.timeout_error()));
         }
     }
+    None
+}
+
+/// Completion dropping one share of a fanned-out job. It runs after the
+/// task that held the share has left the pool's gauge with its module
+/// reference dropped, so the last share out knows the job is fully
+/// settled and publishes the assembled result.
+fn release(state: Arc<JobState>) -> Completion {
+    Box::new(move || {
+        if state.shares.fetch_sub(1, Ordering::SeqCst) == 1 {
+            let result = lock(&state.assembled)
+                .take()
+                .unwrap_or_else(|| Err(JobError::Panicked("job was never assembled".into())));
+            state.complete(result);
+        }
+    })
 }
 
 /// Module preparation with bounded exponential backoff on *transient*
@@ -909,80 +958,104 @@ fn prepare_with_retry(
     }
 }
 
-/// Per-function work item: cache lookup, decompile on miss (retrying once
-/// at the `Literal` floor if the attempt panics), and — as the last item
-/// standing — assembly of the whole translation unit.
-fn run_function_item(
-    state: &JobState,
-    prepared: &Arc<PreparedModule>,
-    fid: FuncId,
-    slot: usize,
-    options: &SplendidOptions,
-    cache: &FunctionCache,
-    stats: &StatsSink,
-) {
-    if !state.expired() {
-        match decompile_item(state, prepared, fid, options, cache, stats) {
-            Ok(out) => {
-                // A Quick emit that was *requested* is the job's contract,
-                // not a degradation; anything below the requested rung is.
-                let requested_quick =
-                    options.start_tier == FidelityTier::Quick && out.tier == FidelityTier::Quick;
-                if out.tier > FidelityTier::Natural && !requested_quick {
-                    state.degraded.fetch_add(1, Ordering::Relaxed);
-                }
-                lock(&state.slots)[slot] = Some(out);
+/// Per-function work item: cache lookup, or decompile on miss (retrying
+/// once at the `Literal` floor if the attempt panics), into its slot.
+fn run_function_item(state: &JobState, prepared: &Arc<PreparedModule>, fid: FuncId, slot: usize) {
+    if state.expired() {
+        return;
+    }
+    match decompile_item(state, prepared, fid) {
+        Ok(rendered) => {
+            // A Quick emit that was *requested* is the job's contract,
+            // not a degradation; anything below the requested rung is.
+            let tier = rendered.output.tier;
+            let requested_quick =
+                state.options.start_tier == FidelityTier::Quick && tier == FidelityTier::Quick;
+            if tier > FidelityTier::Natural && !requested_quick {
+                state.degraded.fetch_add(1, Ordering::Relaxed);
             }
-            Err(e) => {
-                state.cancelled.store(true, Ordering::SeqCst);
-                state.complete(Err(e));
-            }
+            lock(&state.slots)[slot] = Some(rendered);
+        }
+        Err(e) => {
+            state.cancelled.store(true, Ordering::SeqCst);
+            lock(&state.failure).get_or_insert(e);
         }
     }
+}
 
-    if state.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-        // Last item: assemble, unless the job already failed or expired.
+/// Run by the last work item to fill its slot (or by the job task for a
+/// module without functions): validation when asked for, then the
+/// translation unit, parked for [`release`] to publish.
+fn assemble_job(state: &JobState, prepared: &PreparedModule) {
+    let slots = std::mem::take(&mut *lock(&state.slots));
+    let failure = lock(&state.failure).take();
+    let result = match failure {
+        Some(e) => Err(e),
+        None if state.expired() => Err(state.timeout_error()),
+        None => catch_unwind(AssertUnwindSafe(|| assemble(state, prepared, slots)))
+            .unwrap_or_else(|payload| Err(JobError::Panicked(panic_message(payload)))),
+    };
+    *lock(&state.assembled) = Some(result);
+}
+
+fn assemble(
+    state: &JobState,
+    prepared: &PreparedModule,
+    slots: Vec<Option<RenderedFunction>>,
+) -> Result<JobResult, JobError> {
+    state.enter(job_stage::ASSEMBLE);
+    let stats = &state.stats;
+    let functions: Option<Vec<RenderedFunction>> = slots.into_iter().collect();
+    // A slot stayed empty without a recorded failure: treat it like the
+    // panic it must have been.
+    let mut functions = functions.ok_or_else(|| JobError::Panicked("lost work item".into()))?;
+    if state.options.validate {
+        let start = Instant::now();
+        let outcome = crate::validate::run_validation(
+            prepared,
+            &mut functions,
+            &state.options,
+            &state.cache,
+            &state.tiers,
+            &state.certs,
+            stats,
+            &|| state.expired(),
+        );
+        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        stats.add(|s| &s.ns_validate, ns);
+        state.verified.store(outcome.verified, Ordering::Relaxed);
+        state
+            .unverified
+            .store(outcome.unverified, Ordering::Relaxed);
         if state.expired() {
-            state.complete(Err(state.timeout_error()));
-            return;
-        }
-        state.enter(job_stage::ASSEMBLE);
-        let functions: Option<Vec<FunctionOutput>> = lock(&state.slots).drain(..).collect();
-        match functions {
-            Some(mut functions) => {
-                if options.validate {
-                    let start = Instant::now();
-                    let outcome = crate::validate::run_validation(
-                        prepared,
-                        &mut functions,
-                        options,
-                        cache,
-                        &state.tiers,
-                        &state.certs,
-                        stats,
-                        &|| state.expired(),
-                    );
-                    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    stats.add(|s| &s.ns_validate, ns);
-                    state.verified.store(outcome.verified, Ordering::Relaxed);
-                    state
-                        .unverified
-                        .store(outcome.unverified, Ordering::Relaxed);
-                    if state.expired() {
-                        state.complete(Err(state.timeout_error()));
-                        return;
-                    }
-                }
-                let mut timings = StageTimings::default();
-                let output = assemble_output(prepared, functions, &mut timings);
-                stats.record_timings(&timings);
-                finish(state, prepared, output);
-            }
-            // A slot stayed empty without tripping cancellation: treat it
-            // like the panic it must have been.
-            None => state.complete(Err(JobError::Panicked("lost work item".into()))),
+            return Err(state.timeout_error());
         }
     }
+    let mut timings = StageTimings::default();
+    let output = assemble_rendered(prepared, &functions, &mut timings);
+    stats.record_timings(&timings);
+    // Fault-free Text jobs persist the assembled unit as a module
+    // record, so the next process (or a peer) answers the identical
+    // request without parsing. Write-behind: the put enqueues and the
+    // job completes immediately.
+    if let Some(&key) = state.module_key.get() {
+        let record = codec::encode_module_record(
+            &prepared.c_globals(),
+            functions.iter().map(|f| &*f.output),
+            &output,
+        );
+        state.tiers.put(key, &record);
+    }
+    Ok(JobResult {
+        name: state.name.clone(),
+        output,
+        functions: prepared.module.functions.len(),
+        cached_functions: state.cached.load(Ordering::Relaxed),
+        degraded_functions: state.degraded.load(Ordering::Relaxed),
+        verified_functions: state.verified.load(Ordering::Relaxed),
+        unverified_functions: state.unverified.load(Ordering::Relaxed),
+        wall: state.started.elapsed(),
+    })
 }
 
 /// One function through cache + ladder + panic-retry.
@@ -990,10 +1063,8 @@ fn decompile_item(
     state: &JobState,
     prepared: &Arc<PreparedModule>,
     fid: FuncId,
-    options: &SplendidOptions,
-    cache: &FunctionCache,
-    stats: &StatsSink,
-) -> Result<FunctionOutput, JobError> {
+) -> Result<RenderedFunction, JobError> {
+    let (options, cache, stats) = (&state.options, &state.cache, &state.stats);
     // Fault plans mutate hidden injection state per invocation, so cached
     // entries would alias distinct injection outcomes: bypass entirely.
     let caching = options.faults.is_none();
@@ -1005,15 +1076,17 @@ fn decompile_item(
     let key = match key {
         // Keying panicked (malformed IR defeats the printer): go
         // straight to the Literal-floor recovery attempt.
-        Some(Err(payload)) => return attempt_retry(prepared, fid, stats, payload),
+        Some(Err(payload)) => {
+            return attempt_retry(prepared, fid, stats, payload).map(|out| share(&out, stats))
+        }
         Some(Ok(k)) => Some(k),
         None => None,
     };
     if let Some(k) = key {
-        if let Some(hit) = cache.get(k) {
+        if let Some(hit) = cache.get_rendered(k) {
             state.cached.fetch_add(1, Ordering::Relaxed);
             stats.add(|s| &s.functions_from_cache, 1);
-            return Ok((*hit).clone());
+            return Ok(hit);
         }
         // LRU miss: read through the blob tiers (disk, then peer). A
         // hit is promoted into the LRU so the next lookup is in-memory;
@@ -1024,8 +1097,9 @@ fn decompile_item(
         if let Some(out) = state.tiers.get_function_before(k, state.deadline) {
             state.cached.fetch_add(1, Ordering::Relaxed);
             stats.add(|s| &s.functions_from_cache, 1);
-            cache.insert(k, Arc::new(out.clone()));
-            return Ok(out);
+            let rendered = share(&out, stats);
+            cache.insert_rendered(k, rendered.clone());
+            return Ok(rendered);
         }
     }
     // Deadline check at the handoff into the ladder: expired work is
@@ -1036,19 +1110,28 @@ fn decompile_item(
     }
     match attempt_decompile(prepared, fid, options, stats) {
         Ok(Ok(out)) => {
+            let rendered = share(&out, stats);
             if let Some(k) = key {
-                cache.insert(k, Arc::new(out.clone()));
-                state.tiers.put_function(k, &out);
+                cache.insert_rendered(k, rendered.clone());
+                state.tiers.put_function(k, &rendered.output);
             }
-            Ok(out)
+            Ok(rendered)
         }
         // The ladder itself reported failure: even `Literal` could not
         // emit this function. Deterministic — no point retrying.
         Ok(Err(e)) => Err(JobError::Decompile(e.to_string())),
         // The attempt panicked past the ladder's own containment: retry
         // once at the Literal floor, uncached.
-        Err(payload) => attempt_retry(prepared, fid, stats, payload),
+        Err(payload) => attempt_retry(prepared, fid, stats, payload).map(|out| share(&out, stats)),
     }
+}
+
+/// [`RenderedFunction::share`], with the render time recorded as emit.
+pub(crate) fn share(out: &FunctionOutput, stats: &StatsSink) -> RenderedFunction {
+    let mut timings = StageTimings::default();
+    let rendered = RenderedFunction::share(out, &mut timings);
+    stats.record_timings(&timings);
+    rendered
 }
 
 /// Run one ladder attempt under `catch_unwind`, recording timings.
@@ -1106,25 +1189,4 @@ fn attempt_retry(
             )))
         }
     }
-}
-
-fn finish(state: &JobState, prepared: &PreparedModule, output: DecompileOutput) {
-    // Fault-free Text jobs persist the assembled unit as a module
-    // record, so the next process (or a peer) answers the identical
-    // request without parsing. Write-behind: the put enqueues and the
-    // job completes immediately.
-    if let Some(&key) = state.module_key.get() {
-        state.tiers.put(key, &codec::encode_module_record(&output));
-    }
-    let functions = prepared.module.functions.len();
-    state.complete(Ok(JobResult {
-        name: state.name.clone(),
-        output,
-        functions,
-        cached_functions: state.cached.load(Ordering::Relaxed),
-        degraded_functions: state.degraded.load(Ordering::Relaxed),
-        verified_functions: state.verified.load(Ordering::Relaxed),
-        unverified_functions: state.unverified.load(Ordering::Relaxed),
-        wall: state.started.elapsed(),
-    }));
 }

@@ -28,10 +28,11 @@
 use crate::cache::{BlobTiers, FunctionCache};
 use crate::codec;
 use crate::hash::Fnv64;
-use crate::scheduler::{function_cache_key, StatsSink};
-use splendid_cfront::{print_program, CProgram, CStmt};
+use crate::scheduler::{function_cache_key, share, StatsSink};
+use splendid_cfront::{print_unit, CFunc, CStmt};
 use splendid_core::{
-    decompile_function, FidelityTier, FunctionOutput, PreparedModule, SplendidOptions, StageTimings,
+    decompile_function, FidelityTier, PreparedModule, RenderedFunction, SplendidOptions,
+    StageTimings,
 };
 use splendid_ir::Module;
 use splendid_validate::{check_function, relower, ReasonKind, ValidateConfig, Verdict};
@@ -126,11 +127,12 @@ pub struct ValidateOutcome {
 /// fidelity ladder on proven mismatches. `functions` is in
 /// `prepared.module.func_ids()` order (the slot order) and is mutated
 /// in place: fallback replaces entries, and every entry gets a verdict
-/// annotation. Returns the verdict tally.
+/// annotation — copy-on-write, so the outputs the function cache shares
+/// with the slots never carry a verdict. Returns the verdict tally.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_validation(
     prepared: &PreparedModule,
-    functions: &mut [FunctionOutput],
+    functions: &mut [RenderedFunction],
     options: &SplendidOptions,
     cache: &FunctionCache,
     tiers: &BlobTiers,
@@ -228,13 +230,13 @@ fn replay_certificate(
     prepared: &PreparedModule,
     fid: splendid_ir::FuncId,
     slot: usize,
-    functions: &[FunctionOutput],
+    functions: &[RenderedFunction],
     options: &SplendidOptions,
     cache: &FunctionCache,
     tiers: &BlobTiers,
     stats: &StatsSink,
 ) -> Option<Certificate> {
-    if functions[slot].tier >= cert.tier {
+    if functions[slot].output.tier >= cert.tier {
         return Some(cert.clone());
     }
     derive_at(prepared, fid, options, cert.tier, cache, tiers, stats).map(|_| cert.clone())
@@ -242,7 +244,7 @@ fn replay_certificate(
 
 /// Stamp the verdict into the function body and tally it.
 fn apply_verdict(
-    out: &mut FunctionOutput,
+    out: &mut RenderedFunction,
     cert: Certificate,
     stats: &StatsSink,
     outcome: &mut ValidateOutcome,
@@ -256,7 +258,7 @@ fn apply_verdict(
         stats.add(|s| &s.functions_unverified, 1);
         format!("{UNVERIFIED_ANNOTATION}{}", sanitize(&cert.reason))
     };
-    out.cfunc.body.insert(0, CStmt::Comment(text));
+    out.edit(|f| f.cfunc.body.insert(0, CStmt::Comment(text)));
 }
 
 /// Comment-safe, single-line rendering of a reason string.
@@ -273,7 +275,7 @@ fn prove_function(
     fid: splendid_ir::FuncId,
     slot: usize,
     name: &str,
-    functions: &mut [FunctionOutput],
+    functions: &mut [RenderedFunction],
     options: &SplendidOptions,
     cfg: &ValidateConfig,
     cache: &FunctionCache,
@@ -282,7 +284,7 @@ fn prove_function(
     relowered: &mut Option<Result<Module, String>>,
 ) -> Certificate {
     loop {
-        let module = relowered.get_or_insert_with(|| relower(&print_unit(prepared, functions)));
+        let module = relowered.get_or_insert_with(|| relower(&unit_text(prepared, functions)));
         let verdict = match module {
             Ok(m) => check_function(&prepared.module, m, name, cfg),
             Err(e) => Verdict::Unverified(splendid_validate::Reason {
@@ -290,7 +292,7 @@ fn prove_function(
                 detail: e.clone(),
             }),
         };
-        let tier = functions[slot].tier;
+        let tier = functions[slot].output.tier;
         match verdict {
             Verdict::Verified => {
                 return Certificate {
@@ -337,18 +339,17 @@ fn next_tier(tier: FidelityTier) -> Option<FidelityTier> {
     }
 }
 
-/// Print the current state of the translation unit (globals + every
-/// function as it stands mid-validation). Verdict annotations are not
-/// yet inserted at this point, and degradation comments are stripped by
-/// the re-lowering lexer, so the printed unit is exactly what a
-/// consumer would compile.
-fn print_unit(prepared: &PreparedModule, functions: &[FunctionOutput]) -> String {
-    let program = CProgram {
-        defines: Vec::new(),
-        globals: prepared.c_globals(),
-        functions: functions.iter().map(|f| f.cfunc.clone()).collect(),
-    };
-    print_program(&program)
+/// The current state of the translation unit (globals + every function
+/// as it stands mid-validation), spliced from the rendered texts.
+/// Verdict annotations are not yet inserted at this point, and
+/// degradation comments are stripped by the re-lowering lexer, so the
+/// text is exactly what a consumer would compile.
+fn unit_text(prepared: &PreparedModule, functions: &[RenderedFunction]) -> String {
+    print_unit(
+        &[],
+        &prepared.c_globals(),
+        functions.iter().map(|f| &*f.text),
+    )
 }
 
 /// Re-decompile one function with its start tier pinned, through the
@@ -363,7 +364,7 @@ fn derive_at(
     cache: &FunctionCache,
     tiers: &BlobTiers,
     stats: &StatsSink,
-) -> Option<FunctionOutput> {
+) -> Option<RenderedFunction> {
     let opts = SplendidOptions {
         start_tier: tier,
         ..base.clone()
@@ -378,14 +379,15 @@ fn derive_at(
         None
     };
     if let Some(k) = key {
-        if let Some(hit) = cache.get(k) {
+        if let Some(hit) = cache.get_rendered(k) {
             stats.add(|s| &s.functions_from_cache, 1);
-            return Some((*hit).clone());
+            return Some(hit);
         }
         if let Some(out) = tiers.get_function(k) {
             stats.add(|s| &s.functions_from_cache, 1);
-            cache.insert(k, std::sync::Arc::new(out.clone()));
-            return Some(out);
+            let rendered = share(&out, stats);
+            cache.insert_rendered(k, rendered.clone());
+            return Some(rendered);
         }
     }
     let out = catch_unwind(AssertUnwindSafe(|| {
@@ -397,30 +399,25 @@ fn derive_at(
     .ok()?
     .ok()?;
     stats.add(|s| &s.functions_decompiled, 1);
+    let rendered = share(&out, stats);
     if let Some(k) = key {
-        cache.insert(k, std::sync::Arc::new(out.clone()));
-        tiers.put_function(k, &out);
+        cache.insert_rendered(k, rendered.clone());
+        tiers.put_function(k, &rendered.output);
     }
-    Some(out)
+    Some(rendered)
 }
 
-/// Count verdict annotations in an already-assembled program — how the
+/// Add one function's verdict annotations to `outcome` — how the
 /// whole-module fast path reports verdicts for a unit whose validation
-/// ran in a previous process.
-pub(crate) fn count_annotations(program: &CProgram) -> ValidateOutcome {
-    let mut outcome = ValidateOutcome::default();
-    for f in &program.functions {
-        for s in &f.body {
-            match s {
-                CStmt::Comment(t) if t == VERIFIED_ANNOTATION => outcome.verified += 1,
-                CStmt::Comment(t) if t.starts_with(UNVERIFIED_ANNOTATION) => {
-                    outcome.unverified += 1
-                }
-                _ => {}
-            }
+/// ran in a previous process (the record decoder counts while it reads).
+pub(crate) fn count_annotations(f: &CFunc, outcome: &mut ValidateOutcome) {
+    for s in &f.body {
+        match s {
+            CStmt::Comment(t) if t == VERIFIED_ANNOTATION => outcome.verified += 1,
+            CStmt::Comment(t) if t.starts_with(UNVERIFIED_ANNOTATION) => outcome.unverified += 1,
+            _ => {}
         }
     }
-    outcome
 }
 
 #[cfg(test)]
@@ -459,23 +456,20 @@ mod tests {
 
     #[test]
     fn annotation_counting_matches_prefixes() {
-        use splendid_cfront::CFunc;
         let mk = |comment: &str| CFunc {
             name: "f".into(),
             ret: splendid_cfront::CType::Void,
             params: vec![],
             body: vec![CStmt::Comment(comment.into()), CStmt::Return(None)],
         };
-        let program = CProgram {
-            defines: vec![],
-            globals: vec![],
-            functions: vec![
-                mk(VERIFIED_ANNOTATION),
-                mk("splendid: UNVERIFIED: mismatch: probe 1"),
-                mk("splendid: degraded to literal tier: x"),
-            ],
-        };
-        let out = count_annotations(&program);
+        let mut out = ValidateOutcome::default();
+        for f in [
+            mk(VERIFIED_ANNOTATION),
+            mk("splendid: UNVERIFIED: mismatch: probe 1"),
+            mk("splendid: degraded to literal tier: x"),
+        ] {
+            count_annotations(&f, &mut out);
+        }
         assert_eq!((out.verified, out.unverified), (1, 1));
     }
 }

@@ -355,3 +355,96 @@ fn devectorized_simd_loops_are_counted_in_stats() {
         "stats display must surface the simd line:\n{text}"
     );
 }
+
+#[test]
+fn resolved_handles_leave_the_pool_idle_and_the_module_released() {
+    use splendid_core::{prepare_module, StageTimings};
+    use splendid_serve::JobInput;
+    use std::sync::Arc;
+
+    let (name, module) = golden_suite().remove(0);
+    let opts = SplendidOptions::default();
+    let prepared = Arc::new(prepare_module(&module, &opts, &mut StageTimings::default()).unwrap());
+    let scheduler = Scheduler::new(ServeConfig {
+        workers: 2,
+        ..Default::default()
+    });
+    // Cold first, then warm: both paths must be settled at resolution.
+    for round in 0..25 {
+        let result = scheduler
+            .submit(JobRequest {
+                name: name.clone(),
+                input: JobInput::Prepared(Arc::clone(&prepared)),
+                options: opts.clone(),
+            })
+            .wait()
+            .unwrap();
+        assert_eq!(
+            scheduler.stats().in_flight,
+            0,
+            "round {round}: the job's tasks must have left the gauge"
+        );
+        assert_eq!(
+            Arc::strong_count(&prepared),
+            1,
+            "round {round}: the job must have dropped every module reference"
+        );
+        assert!(result.functions > 0);
+    }
+    // Failed jobs settle too.
+    let failed = scheduler
+        .submit(JobRequest::from_text("garbage", "not ir"))
+        .wait();
+    assert!(matches!(failed, Err(JobError::Parse(_))));
+    assert_eq!(scheduler.stats().in_flight, 0);
+}
+
+#[test]
+fn validation_verdicts_never_reach_the_shared_cache() {
+    use splendid_serve::validate::{UNVERIFIED_ANNOTATION, VERIFIED_ANNOTATION};
+    let b = splendid_polybench::kernels::benchmark("jacobi-1d-imper").unwrap();
+    let (module, _) = Harness::polly(b.sequential).unwrap();
+    let plain = SplendidOptions::default();
+    let validated = SplendidOptions {
+        validate: true,
+        ..SplendidOptions::default()
+    };
+    let verdicts =
+        |s: &str| s.matches(VERIFIED_ANNOTATION).count() + s.matches(UNVERIFIED_ANNOTATION).count();
+
+    let scheduler = Scheduler::new(ServeConfig {
+        workers: 2,
+        ..Default::default()
+    });
+    let first = scheduler
+        .decompile_module("j", &module, &validated)
+        .unwrap();
+    assert_eq!(
+        verdicts(&first.output.source),
+        first.functions,
+        "one verdict per function:\n{}",
+        first.output.source
+    );
+    let unvalidated = scheduler.decompile_module("j", &module, &plain).unwrap();
+    assert_eq!(
+        verdicts(&unvalidated.output.source),
+        0,
+        "{}",
+        unvalidated.output.source
+    );
+    let fresh = Scheduler::new(ServeConfig {
+        workers: 2,
+        ..Default::default()
+    })
+    .decompile_module("j", &module, &plain)
+    .unwrap();
+    assert_eq!(unvalidated.output.source, fresh.output.source);
+
+    // A second validated job hits the entries the first one filled; had
+    // the first stamped its verdicts into them, they would now carry two.
+    let again = scheduler
+        .decompile_module("j", &module, &validated)
+        .unwrap();
+    assert_eq!(again.cached_functions, again.functions);
+    assert_eq!(again.output.source, first.output.source);
+}

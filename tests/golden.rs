@@ -64,3 +64,46 @@ fn polybench_decompilation_matches_golden_snapshots() {
          regenerate with: UPDATE_GOLDEN=1 cargo test --test golden"
     );
 }
+
+/// Units are assembled by splicing each function's rendered text
+/// (`print_func`, kept beside every cache entry) through `print_unit`.
+/// That must print exactly what printing the whole `CProgram` prints.
+#[test]
+fn spliced_function_texts_match_the_whole_program_printer() {
+    use splendid::cfront::{print_program, CProgram};
+    use splendid::core::{
+        assemble_output, assemble_rendered, decompile_function, prepare_module, RenderedFunction,
+        StageTimings,
+    };
+    let opts = SplendidOptions::default();
+    let suite = Harness::polly_suite().expect("polly suite builds");
+    assert!(suite.len() >= 16, "{} kernels", suite.len());
+    for (name, module) in &suite {
+        let mut t = StageTimings::default();
+        let prepared = prepare_module(module, &opts, &mut t).unwrap();
+        let functions: Vec<_> = prepared
+            .module
+            .func_ids()
+            .map(|fid| decompile_function(&prepared, fid, &opts, &mut t).unwrap())
+            .collect();
+        let whole = print_program(&CProgram {
+            defines: Vec::new(),
+            globals: prepared.c_globals(),
+            functions: functions.iter().map(|f| f.cfunc.clone()).collect(),
+        });
+        let rendered: Vec<_> = functions
+            .iter()
+            .map(|f| RenderedFunction::share(f, &mut t))
+            .collect();
+        assert_eq!(
+            assemble_rendered(&prepared, &rendered, &mut t).source,
+            whole,
+            "{name}"
+        );
+        assert_eq!(
+            assemble_output(&prepared, functions, &mut t).source,
+            whole,
+            "{name}"
+        );
+    }
+}
