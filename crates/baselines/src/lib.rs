@@ -64,10 +64,7 @@ fn synthetic_naming(f: &splendid_ir::Function, ghidra_style: bool) -> Naming {
             format!("val{counter}")
         };
         counter += 1;
-        naming.names.insert(
-            splendid_ir::InstId(idx as u32),
-            (name, NameOrigin::Register),
-        );
+        naming.insert(splendid_ir::InstId(idx as u32), &name, NameOrigin::Register);
     }
     naming
 }

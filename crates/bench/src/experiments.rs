@@ -571,9 +571,7 @@ pub fn fig5() -> String {
     let naming = splendid_core::naming::assign_names(&m, fid);
     let mut out = String::new();
     out.push_str("IR-Variable map after conflict removal:\n");
-    let mut entries: Vec<_> = naming.names.iter().collect();
-    entries.sort_by_key(|(id, _)| id.0);
-    for (id, (name, origin)) in entries {
+    for (id, name, origin) in naming.iter() {
         out.push_str(&format!("  %{} -> {} ({:?})\n", id.0, name, origin));
     }
     out

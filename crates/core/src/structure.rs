@@ -8,19 +8,26 @@
 //! A[i] + A[i+1]) / 3.0;` comes back as one line), while multi-use values
 //! and loop-carried variables materialize as named C variables using the
 //! names chosen by [`crate::naming`].
+//!
+//! The structurer's state is a set of tables indexed by the dense ids:
+//! per instruction (block position, use count, first user, absorbed,
+//! materialized), per block (counted loop headed, visited, needs a label)
+//! and per distinct variable name (declared, first origin), the last keyed
+//! by the [`Naming`]'s name index. Names are borrowed from the naming and
+//! copied only into the C AST.
 
 use crate::detransform::{decode_marker, MarkerInfo};
 use crate::devectorize::{decode_simd_marker, SimdMarkerInfo};
 use crate::error::{SplendidError, Stage};
-use crate::naming::{NameOrigin, Naming};
+use crate::naming::{NameOrigin, Naming, NONE};
 use splendid_analysis::domtree::{ipostdoms, DomTree};
 use splendid_analysis::indvar::{recognize_counted_loop, CountedLoop};
-use splendid_analysis::loops::{LoopId, LoopInfo};
+use splendid_analysis::loops::{Loop, LoopId, LoopInfo};
 use splendid_cfront::ast::*;
 use splendid_ir::{
     BinOp, BlockId, Callee, CastOp, FPred, Function, IPred, InstId, InstKind, Module, Type, Value,
 };
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
 
 /// Options controlling the structurer (wired to the paper's variants and
 /// the ablation benches).
@@ -78,30 +85,48 @@ fn ctype_of(t: Type) -> CType {
     }
 }
 
+/// What the structurer knows about one distinct variable name.
+#[derive(Clone, Copy, Default)]
+struct VarState {
+    declared: bool,
+    /// Origin of the value first materialized under this name.
+    origin: Option<NameOrigin>,
+}
+
 struct Structurer<'a> {
     module: &'a Module,
     f: &'a Function,
     naming: &'a Naming,
     opts: &'a StructureOptions,
-    li: LoopInfo,
+    li: &'a LoopInfo,
     ipdom: Vec<Option<BlockId>>,
     owners: Vec<Option<BlockId>>,
-    /// Position of each instruction within its block.
-    pos_in_block: HashMap<InstId, usize>,
-    use_counts: HashMap<InstId, usize>,
-    counted: HashMap<BlockId, (LoopId, CountedLoop)>,
-    /// Instructions absorbed into structured constructs (for-headers,
-    /// conditions) — never emitted as statements.
-    absorbed: HashSet<InstId>,
-    /// Instructions materialized as named variables.
-    materialized: HashSet<InstId>,
-    declared: HashSet<String>,
+    /// Per instruction: its position within its block.
+    pos_in_block: Vec<u32>,
+    /// Per instruction: uses of its result by placed, non-debug
+    /// instructions.
+    use_counts: Vec<u32>,
+    /// Per instruction: the lowest-id such user (`NONE` if unused).
+    first_user: Vec<u32>,
+    /// Per block: the counted loop it heads.
+    counted: Vec<Option<(LoopId, CountedLoop)>>,
+    /// Per instruction: absorbed into a structured construct (for-header,
+    /// condition), never emitted as a statement.
+    absorbed: Vec<bool>,
+    /// Per instruction: materialized as a named variable.
+    materialized: Vec<bool>,
+    /// Per distinct name: the naming's name indices first, then the
+    /// `extra_names` it lacks.
+    vars: Vec<VarState>,
+    /// Fallback names of values the naming left unnamed.
+    extra_names: Vec<String>,
     /// Declarations deferred to the function top under
     /// `StructureOptions::hoist_decls` (name, type), in first-seen order.
     hoisted: Vec<(String, CType)>,
-    var_origins: HashMap<String, NameOrigin>,
-    visited: HashSet<BlockId>,
-    need_label: HashSet<BlockId>,
+    /// Per block: already emitted.
+    visited: Vec<bool>,
+    /// Per block: the target of a goto.
+    need_label: Vec<bool>,
     gotos: usize,
     pending_pragma: Option<MarkerInfo>,
     pending_simd: Option<SimdMarkerInfo>,
@@ -123,29 +148,36 @@ pub fn structure_function(
     let li = LoopInfo::compute(f, &dt);
     let ipdom = ipostdoms(f);
     let owners = f.inst_blocks();
+    let n = f.insts.len();
+    let nblocks = f.blocks.len();
 
-    let mut pos_in_block = HashMap::new();
+    let mut pos_in_block = vec![0; n];
     for bb in f.block_ids() {
         for (k, &i) in f.block(bb).insts.iter().enumerate() {
-            pos_in_block.insert(i, k);
+            pos_in_block[i.index()] = k as u32;
         }
     }
-    let mut use_counts: HashMap<InstId, usize> = HashMap::new();
+    let mut use_counts = vec![0; n];
+    let mut first_user = vec![NONE; n];
     for (idx, inst) in f.insts.iter().enumerate() {
         if owners[idx].is_none() || matches!(inst.kind, InstKind::DbgValue { .. }) {
             continue;
         }
         inst.kind.for_each_operand(|v| {
             if let Value::Inst(d) = v {
-                *use_counts.entry(d).or_insert(0) += 1;
+                if let Some(count) = use_counts.get_mut(d.index()) {
+                    *count += 1;
+                    if first_user[d.index()] == NONE {
+                        first_user[d.index()] = idx as u32;
+                    }
+                }
             }
         });
     }
-    // Counted loops indexed by header.
-    let mut counted = HashMap::new();
+    let mut counted = vec![None; nblocks];
     for lid in li.ids() {
         if let Some(cl) = recognize_counted_loop(f, &li, lid) {
-            counted.insert(li.get(lid).header, (lid, cl));
+            counted[li.get(lid).header.index()] = Some((lid, cl));
         }
     }
 
@@ -154,19 +186,20 @@ pub fn structure_function(
         f,
         naming,
         opts,
-        li,
+        li: &li,
         ipdom,
         owners,
         pos_in_block,
         use_counts,
+        first_user,
         counted,
-        absorbed: HashSet::new(),
-        materialized: HashSet::new(),
-        declared: HashSet::new(),
+        absorbed: vec![false; n],
+        materialized: vec![false; n],
+        vars: vec![VarState::default(); naming.name_count()],
+        extra_names: Vec::new(),
         hoisted: Vec::new(),
-        var_origins: HashMap::new(),
-        visited: HashSet::new(),
-        need_label: HashSet::new(),
+        visited: vec![false; nblocks],
+        need_label: vec![false; nblocks],
         gotos: 0,
         pending_pragma: None,
         pending_simd: None,
@@ -175,13 +208,6 @@ pub fn structure_function(
 
     let mut body = Vec::new();
     s.emit_region(f.entry, None, None, &mut body);
-    // Insert labels where gotos landed.
-    if !s.need_label.is_empty() {
-        // Labels are emitted inline during the walk; nothing to patch here
-        // because emit_region pushes Label stmts on first visit of labeled
-        // blocks. (Gotos to already-emitted blocks would need relocation;
-        // we only ever goto forward in practice.)
-    }
 
     if !s.hoisted.is_empty() {
         let decls: Vec<CStmt> = std::mem::take(&mut s.hoisted)
@@ -200,8 +226,12 @@ pub fn structure_function(
         .iter()
         .map(|p| (module.name_of(p.name).to_string(), ctype_of(p.ty)))
         .collect();
-    let mut variables: Vec<(String, NameOrigin)> =
-        s.var_origins.iter().map(|(n, o)| (n.clone(), *o)).collect();
+    let mut variables: Vec<(String, NameOrigin)> = s
+        .vars
+        .iter()
+        .enumerate()
+        .filter_map(|(k, v)| Some((s.var_name(k).to_string(), v.origin?)))
+        .collect();
     variables.sort();
     if let Some(msg) = s.diag.borrow().clone() {
         return Err(
@@ -239,11 +269,65 @@ impl<'a> Structurer<'a> {
         }
     }
 
-    fn name_of(&self, id: InstId) -> String {
+    fn name_of(&self, id: InstId) -> Cow<'a, str> {
+        match self.naming.name_of(id) {
+            Some(name) => Cow::Borrowed(name),
+            None => Cow::Owned(format!("v{}", id.0)),
+        }
+    }
+
+    fn origin_of(&self, id: InstId) -> NameOrigin {
         self.naming
-            .name_of(id)
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| format!("v{}", id.0))
+            .get(id)
+            .map_or(NameOrigin::Register, |(_, origin)| origin)
+    }
+
+    /// Index of `id`'s variable in `vars`; equal names share one.
+    fn var_of(&mut self, id: InstId) -> usize {
+        let k = match self.naming.name_index(id) {
+            Some(k) => k,
+            None => self.extra_var(id),
+        };
+        if self.vars.len() <= k {
+            self.vars.resize(k + 1, VarState::default());
+        }
+        k
+    }
+
+    /// [`Structurer::var_of`] for a value the naming left unnamed. Cold:
+    /// the pipeline's namings name every placed value.
+    fn extra_var(&mut self, id: InstId) -> usize {
+        let name = format!("v{}", id.0);
+        let count = self.naming.name_count();
+        if let Some(k) = (0..count).find(|&k| self.naming.text_of(k) == name) {
+            return k;
+        }
+        let pos = match self.extra_names.iter().position(|n| *n == name) {
+            Some(pos) => pos,
+            None => {
+                self.extra_names.push(name);
+                self.extra_names.len() - 1
+            }
+        };
+        count + pos
+    }
+
+    fn var_name(&self, k: usize) -> &str {
+        match k.checked_sub(self.naming.name_count()) {
+            None => self.naming.text_of(k),
+            Some(extra) => &self.extra_names[extra],
+        }
+    }
+
+    /// Record the origin of a value materialized as variable `k` (the
+    /// first one recorded wins).
+    fn note_origin(&mut self, k: usize, origin: NameOrigin) {
+        self.vars[k].origin.get_or_insert(origin);
+    }
+
+    /// Mark variable `k` declared; whether it was not already.
+    fn first_declaration(&mut self, k: usize) -> bool {
+        !std::mem::replace(&mut self.vars[k].declared, true)
     }
 
     /// Whether `id` can be folded into its (single) use.
@@ -252,7 +336,7 @@ impl<'a> Structurer<'a> {
             // Geps must still fold (there is no address-of in the AST).
             return matches!(self.f.inst(id).kind, InstKind::Gep { .. });
         }
-        if self.absorbed.contains(&id) {
+        if self.absorbed[id.index()] {
             return true; // absorbed IV increments/conditions fold freely
         }
         let inst = self.f.inst(id);
@@ -264,7 +348,7 @@ impl<'a> Structurer<'a> {
             | InstKind::Store { .. } => return false,
             _ => {}
         }
-        if self.use_counts.get(&id).copied().unwrap_or(0) != 1 {
+        if self.use_counts[id.index()] != 1 {
             return false;
         }
         // The single use must be later in the same block, with no pinning
@@ -273,28 +357,12 @@ impl<'a> Structurer<'a> {
             Some(b) => b,
             None => return false,
         };
-        let def_pos = self.pos_in_block[&id];
-        let mut user: Option<InstId> = None;
-        for (uidx, uinst) in self.f.insts.iter().enumerate() {
-            if self.owners[uidx].is_none() || matches!(uinst.kind, InstKind::DbgValue { .. }) {
-                continue;
-            }
-            let mut uses_it = false;
-            uinst.kind.for_each_operand(|v| {
-                if v == Value::Inst(id) {
-                    uses_it = true;
-                }
-            });
-            if uses_it {
-                user = Some(InstId(uidx as u32));
-                break;
-            }
-        }
-        let Some(user) = user else { return false };
-        if self.owners[user.index()] != Some(def_bb) {
+        let def_pos = self.pos_in_block[id.index()] as usize;
+        let user = self.first_user[id.index()] as usize;
+        if self.owners[user] != Some(def_bb) {
             return false;
         }
-        let use_pos = self.pos_in_block[&user];
+        let use_pos = self.pos_in_block[user] as usize;
         if use_pos <= def_pos {
             return false;
         }
@@ -325,7 +393,7 @@ impl<'a> Structurer<'a> {
             }
             Value::Undef(_) => CExpr::Int(0),
             Value::Inst(id) => {
-                if self.materialized.contains(&id) || !self.inlinable(id) {
+                if self.materialized[id.index()] || !self.inlinable(id) {
                     CExpr::ident(self.name_of(id))
                 } else {
                     self.expr_of_inst(id)
@@ -517,11 +585,7 @@ impl<'a> Structurer<'a> {
         if self.opts.hoist_decls {
             self.hoisted.push((name.clone(), ty));
             if let Some(e) = init {
-                out.push(CStmt::Expr(CExpr::Assign {
-                    lhs: Box::new(CExpr::ident(name)),
-                    op: None,
-                    rhs: Box::new(e),
-                }));
+                out.push(assign(name, e));
             }
         } else {
             out.push(CStmt::Decl { name, ty, init });
@@ -532,32 +596,24 @@ impl<'a> Structurer<'a> {
     fn materialize(&mut self, id: InstId, out: &mut Vec<CStmt>) {
         let name = self.name_of(id);
         let expr = self.expr_of_inst(id);
-        self.materialized.insert(id);
-        let origin = self
-            .naming
-            .names
-            .get(&id)
-            .map(|(_, o)| *o)
-            .unwrap_or(NameOrigin::Register);
-        self.var_origins.entry(name.clone()).or_insert(origin);
-        if self.declared.insert(name.clone()) {
+        self.materialized[id.index()] = true;
+        let var = self.var_of(id);
+        self.note_origin(var, self.origin_of(id));
+        if self.first_declaration(var) {
             let ty = ctype_of(self.f.inst(id).ty);
-            self.declare(name, ty, Some(expr), out);
+            self.declare(name.into_owned(), ty, Some(expr), out);
         } else {
-            out.push(CStmt::Expr(CExpr::Assign {
-                lhs: Box::new(CExpr::Ident(name)),
-                op: None,
-                rhs: Box::new(expr),
-            }));
+            out.push(assign(name, expr));
         }
     }
 
     /// Emit the non-terminator statements of one block.
     fn emit_block_stmts(&mut self, bb: BlockId, out: &mut Vec<CStmt>) {
-        for &i in &self.f.block(bb).insts.clone() {
-            let inst = self.f.inst(i);
+        let f = self.f;
+        for &i in &f.block(bb).insts {
+            let inst = f.inst(i);
             if inst.kind.is_terminator()
-                || self.absorbed.contains(&i)
+                || self.absorbed[i.index()]
                 || matches!(
                     inst.kind,
                     InstKind::DbgValue { .. } | InstKind::Nop | InstKind::Phi { .. }
@@ -590,7 +646,7 @@ impl<'a> Structurer<'a> {
                     }));
                 }
                 InstKind::Call { .. } => {
-                    if inst.has_result() && self.use_counts.get(&i).copied().unwrap_or(0) > 0 {
+                    if inst.has_result() && self.use_counts[i.index()] > 0 {
                         self.materialize(i, out);
                     } else {
                         let e = self.expr_of_inst(i);
@@ -600,10 +656,9 @@ impl<'a> Structurer<'a> {
                 InstKind::Alloca { mem } => {
                     // Local (array) storage: declare it.
                     let name = self.name_of(i);
-                    self.materialized.insert(i);
-                    self.var_origins
-                        .entry(name.clone())
-                        .or_insert(NameOrigin::Register);
+                    self.materialized[i.index()] = true;
+                    let var = self.var_of(i);
+                    self.note_origin(var, NameOrigin::Register);
                     let ty = match mem {
                         splendid_ir::MemType::Array { elem, dims } => CType::Array(
                             Box::new(ctype_of(*elem)),
@@ -611,13 +666,13 @@ impl<'a> Structurer<'a> {
                         ),
                         splendid_ir::MemType::Scalar(t) => ctype_of(*t),
                     };
-                    if self.declared.insert(name.clone()) {
-                        self.declare(name, ty, None, out);
+                    if self.first_declaration(var) {
+                        self.declare(name.into_owned(), ty, None, out);
                     }
                 }
                 _ => {
                     // Pure value: emit only when not folded into a use.
-                    if !self.inlinable(i) && self.use_counts.get(&i).copied().unwrap_or(0) > 0 {
+                    if !self.inlinable(i) && self.use_counts[i.index()] > 0 {
                         self.materialize(i, out);
                     }
                 }
@@ -639,14 +694,14 @@ impl<'a> Structurer<'a> {
                 return;
             }
             if let Some(c) = ctx {
-                if bb == c.header && self.visited.contains(&bb) {
+                if bb == c.header && self.visited[bb.index()] {
                     return; // back edge: implicit continue
                 }
             }
-            if self.visited.contains(&bb) {
+            if self.visited[bb.index()] {
                 // Irreducible or unstructured flow: fall back to goto.
                 self.gotos += 1;
-                self.need_label.insert(bb);
+                self.need_label[bb.index()] = true;
                 out.push(CStmt::Goto(format!("bb{}", bb.0)));
                 return;
             }
@@ -668,8 +723,8 @@ impl<'a> Structurer<'a> {
                 }
             }
 
-            self.visited.insert(bb);
-            if self.need_label.contains(&bb) {
+            self.visited[bb.index()] = true;
+            if self.need_label[bb.index()] {
                 out.push(CStmt::Label(format!("bb{}", bb.0)));
             }
             self.emit_block_stmts(bb, out);
@@ -677,7 +732,7 @@ impl<'a> Structurer<'a> {
             let Some(term) = self.f.terminator(bb) else {
                 return;
             };
-            match self.f.inst(term).kind.clone() {
+            match self.f.inst(term).kind {
                 InstKind::Br { target } => {
                     bb = target;
                 }
@@ -762,14 +817,14 @@ impl<'a> Structurer<'a> {
         }
         // One side enters a bottom-tested counted loop header; the other is
         // its exit.
-        let (header, exit, loop_on_true) = if let Some((lid, _)) = self.counted.get(&then_bb) {
+        let (header, exit, loop_on_true) = if let Some((lid, _)) = &self.counted[then_bb.index()] {
             let l = self.li.get(*lid);
             if l.header == then_bb && l.exits.contains(&else_bb) {
                 (then_bb, else_bb, true)
             } else {
                 return None;
             }
-        } else if let Some((lid, _)) = self.counted.get(&else_bb) {
+        } else if let Some((lid, _)) = &self.counted[else_bb.index()] {
             let l = self.li.get(*lid);
             if l.header == else_bb && l.exits.contains(&then_bb) {
                 (else_bb, then_bb, false)
@@ -779,7 +834,7 @@ impl<'a> Structurer<'a> {
         } else {
             return None;
         };
-        let (lid, cl) = self.counted[&header].clone();
+        let (lid, cl) = self.counted[header.index()].clone()?;
         if !cl.bottom_tested {
             return None;
         }
@@ -788,7 +843,7 @@ impl<'a> Structurer<'a> {
         let guard_ok = self.guard_equivalent(cond, &cl, loop_on_true);
         if guard_ok && self.opts.guard_elimination {
             if let Value::Inst(g) = cond {
-                self.absorbed.insert(g);
+                self.absorbed[g.index()] = true;
             }
             self.emit_counted_loop(lid, &cl, out);
             Some(Some(exit))
@@ -843,125 +898,65 @@ impl<'a> Structurer<'a> {
         enter_pred == cont_pred
     }
 
-    /// Emit the canonical `for` reconstruction of a counted loop, wrapping
-    /// it in pending OpenMP pragmas if any.
-    fn emit_counted_loop(&mut self, lid: LoopId, cl: &CountedLoop, out: &mut Vec<CStmt>) {
-        // The pragma pending at loop entry belongs to THIS loop; take it
-        // now so inner loops cannot steal it during body emission.
-        let pragma = self.pending_pragma.take();
-        let simd = self.pending_simd.take();
-        let l = self.li.get(lid).clone();
-        // Absorb the loop plumbing.
-        self.absorbed.insert(cl.iv);
-        self.absorbed.insert(cl.next);
-        self.absorbed.insert(cl.cmp);
-
-        let iv_name = self.name_of(cl.iv);
-        let iv_origin = self
-            .naming
-            .names
-            .get(&cl.iv)
-            .map(|(_, o)| *o)
-            .unwrap_or(NameOrigin::Register);
-        self.var_origins.entry(iv_name.clone()).or_insert(iv_origin);
-        self.materialized.insert(cl.iv);
+    /// What both counted-loop forms do first: absorb the loop plumbing
+    /// (IV phi, increment, latch compare), record the IV as a variable,
+    /// and materialize the loop-carried (non-IV) phis as variables set
+    /// before the loop. Returns the IV's variable and the phis' latch
+    /// updates.
+    fn enter_counted_loop(
+        &mut self,
+        l: &Loop,
+        cl: &CountedLoop,
+        out: &mut Vec<CStmt>,
+    ) -> (usize, Vec<(InstId, Value)>) {
+        for id in [cl.iv, cl.next, cl.cmp] {
+            self.absorbed[id.index()] = true;
+        }
+        let iv_var = self.var_of(cl.iv);
+        self.note_origin(iv_var, self.origin_of(cl.iv));
+        self.materialized[cl.iv.index()] = true;
         // `iv.next` reads inside the body print as `iv + step`.
-        self.materialized.remove(&cl.next);
+        self.materialized[cl.next.index()] = false;
 
-        // Loop-carried (non-IV) phis materialize as variables around the
-        // loop.
-        let mut pre_stmts = Vec::new();
-        let mut latch_assigns: Vec<(InstId, Value)> = Vec::new();
-        for &i in &self.f.block(l.header).insts.clone() {
-            if let InstKind::Phi { incomings } = self.f.inst(i).kind.clone() {
-                if i == cl.iv {
-                    continue;
-                }
-                let name = self.name_of(i);
-                let origin = self
-                    .naming
-                    .names
-                    .get(&i)
-                    .map(|(_, o)| *o)
-                    .unwrap_or(NameOrigin::Register);
-                self.var_origins.entry(name.clone()).or_insert(origin);
-                self.materialized.insert(i);
-                for (from, v) in incomings {
-                    if l.contains(from) {
-                        latch_assigns.push((i, v));
+        let f = self.f;
+        let mut latch_assigns = Vec::new();
+        for &i in &f.block(l.header).insts {
+            let InstKind::Phi { incomings } = &f.inst(i).kind else {
+                break;
+            };
+            if i == cl.iv {
+                continue;
+            }
+            let name = self.name_of(i);
+            let var = self.var_of(i);
+            self.note_origin(var, self.origin_of(i));
+            self.materialized[i.index()] = true;
+            for &(from, v) in incomings {
+                if l.contains(from) {
+                    latch_assigns.push((i, v));
+                } else {
+                    let init = self.expr_of_value(v);
+                    if self.first_declaration(var) {
+                        let ty = ctype_of(f.inst(i).ty);
+                        self.declare(name.to_string(), ty, Some(init), out);
                     } else {
-                        let init = self.expr_of_value(v);
-                        if self.declared.insert(name.clone()) {
-                            let ty = ctype_of(self.f.inst(i).ty);
-                            self.declare(name.clone(), ty, Some(init), &mut pre_stmts);
-                        } else {
-                            pre_stmts.push(CStmt::Expr(CExpr::Assign {
-                                lhs: Box::new(CExpr::ident(name.clone())),
-                                op: None,
-                                rhs: Box::new(init),
-                            }));
-                        }
+                        out.push(assign(&*name, init));
                     }
                 }
-            } else {
-                break;
             }
         }
-        out.extend(pre_stmts);
+        (iv_var, latch_assigns)
+    }
 
-        // The for-header pieces.
-        let cont_pred = if cl.continue_on_true {
-            cl.pred
-        } else {
-            cl.pred.negated()
-        };
-        let cmp_op = match cont_pred {
-            IPred::Slt => CBinOp::Lt,
-            IPred::Sle => CBinOp::Le,
-            IPred::Sgt => CBinOp::Gt,
-            IPred::Sge => CBinOp::Ge,
-            IPred::Ne => CBinOp::Ne,
-            IPred::Eq => CBinOp::Eq,
-        };
-        let init_expr = self.expr_of_value(cl.init);
-        let bound_expr = self.expr_of_value(cl.bound);
-        let declare_in_header = !self.declared.contains(&iv_name);
-        let init_stmt: CStmt = if declare_in_header && !self.opts.hoist_decls {
-            CStmt::Decl {
-                name: iv_name.clone(),
-                ty: CType::UInt64,
-                init: Some(init_expr),
-            }
-        } else {
-            if declare_in_header {
-                // Hoisted mode: the declaration goes to the function top;
-                // the header keeps a plain assignment.
-                self.declared.insert(iv_name.clone());
-                self.hoisted.push((iv_name.clone(), CType::UInt64));
-            }
-            CStmt::Expr(CExpr::Assign {
-                lhs: Box::new(CExpr::ident(iv_name.clone())),
-                op: None,
-                rhs: Box::new(init_expr),
-            })
-        };
-        let cond_expr = CExpr::bin(cmp_op, CExpr::ident(iv_name.clone()), bound_expr);
-        let step_expr = CExpr::Assign {
-            lhs: Box::new(CExpr::ident(iv_name.clone())),
-            op: None,
-            rhs: Box::new(CExpr::bin(
-                if cl.step >= 0 {
-                    CBinOp::Add
-                } else {
-                    CBinOp::Sub
-                },
-                CExpr::ident(iv_name.clone()),
-                CExpr::Int(cl.step.abs()),
-            )),
-        };
-
-        // Body: a general region walk starting at the header (the walk
-        // handles nested guarded loops, if/else, and the back-edge test).
+    /// A counted loop's body: a general region walk starting at the header
+    /// (it handles nested guarded loops, if/else and the back-edge test),
+    /// then the loop-carried variable updates.
+    fn counted_body(
+        &mut self,
+        l: &Loop,
+        cl: &CountedLoop,
+        latch_assigns: Vec<(InstId, Value)>,
+    ) -> Vec<CStmt> {
         let ctx = LoopCtx {
             header: l.header,
             latch_test: Some(cl.cmp),
@@ -969,26 +964,58 @@ impl<'a> Structurer<'a> {
         };
         let mut body = Vec::new();
         self.emit_region(l.header, None, Some(ctx), &mut body);
-        // Loop-carried variable updates at the end of the body.
         for (phi, v) in latch_assigns {
             let name = self.name_of(phi);
             let rhs = self.expr_of_value(v);
             // Skip the self-update when the value already materialized
             // under the same name (web-shared naming).
-            if rhs == CExpr::ident(name.clone()) {
+            if matches!(&rhs, CExpr::Ident(s) if *s == *name) {
                 continue;
             }
             if let Value::Inst(d) = v {
-                if self.materialized.contains(&d) && self.name_of(d) == name {
+                if self.materialized[d.index()] && self.name_of(d) == name {
                     continue;
                 }
             }
-            body.push(CStmt::Expr(CExpr::Assign {
-                lhs: Box::new(CExpr::ident(name)),
-                op: None,
-                rhs: Box::new(rhs),
-            }));
+            body.push(assign(name, rhs));
         }
+        body
+    }
+
+    /// Emit the canonical `for` reconstruction of a counted loop, wrapping
+    /// it in pending OpenMP pragmas if any.
+    fn emit_counted_loop(&mut self, lid: LoopId, cl: &CountedLoop, out: &mut Vec<CStmt>) {
+        // The pragma pending at loop entry belongs to THIS loop; take it
+        // now so inner loops cannot steal it during body emission.
+        let pragma = self.pending_pragma.take();
+        let simd = self.pending_simd.take();
+        let li = self.li;
+        let l = li.get(lid);
+        let (iv_var, latch_assigns) = self.enter_counted_loop(l, cl, out);
+        let iv_name = self.name_of(cl.iv);
+
+        // The for-header pieces.
+        let init_expr = self.expr_of_value(cl.init);
+        let bound_expr = self.expr_of_value(cl.bound);
+        let declare_in_header = !self.vars[iv_var].declared;
+        let init_stmt: CStmt = if declare_in_header && !self.opts.hoist_decls {
+            CStmt::Decl {
+                name: iv_name.to_string(),
+                ty: CType::UInt64,
+                init: Some(init_expr),
+            }
+        } else {
+            if declare_in_header {
+                // Hoisted mode: the declaration goes to the function top;
+                // the header keeps a plain assignment.
+                self.vars[iv_var].declared = true;
+                self.hoisted.push((iv_name.to_string(), CType::UInt64));
+            }
+            assign(&*iv_name, init_expr)
+        };
+        let cond_expr = CExpr::bin(continue_op(cl), CExpr::ident(&*iv_name), bound_expr);
+        let step_expr = iv_step(&iv_name, cl);
+        let body = self.counted_body(l, cl, latch_assigns);
 
         let for_stmt = CStmt::For {
             init: Some(Box::new(init_stmt)),
@@ -998,8 +1025,8 @@ impl<'a> Structurer<'a> {
         };
         self.wrap_with_pragma(for_stmt, pragma, simd, out);
         // Mark all loop blocks visited.
-        for b in l.blocks {
-            self.visited.insert(b);
+        for &b in &l.blocks {
+            self.visited[b.index()] = true;
         }
     }
 
@@ -1014,136 +1041,29 @@ impl<'a> Structurer<'a> {
     /// would — puts the `while` condition out of scope in C even though
     /// SSA dominance holds; the fault campaign caught exactly that.
     fn emit_do_while(&mut self, lid: LoopId, cl: &CountedLoop, out: &mut Vec<CStmt>) {
-        let l = self.li.get(lid).clone();
-        // Absorb the loop plumbing.
-        self.absorbed.insert(cl.iv);
-        self.absorbed.insert(cl.next);
-        self.absorbed.insert(cl.cmp);
-
+        let li = self.li;
+        let l = li.get(lid);
+        let (iv_var, latch_assigns) = self.enter_counted_loop(l, cl, out);
         let iv_name = self.name_of(cl.iv);
-        let iv_origin = self
-            .naming
-            .names
-            .get(&cl.iv)
-            .map(|(_, o)| *o)
-            .unwrap_or(NameOrigin::Register);
-        self.var_origins.entry(iv_name.clone()).or_insert(iv_origin);
-        self.materialized.insert(cl.iv);
-        // `iv.next` reads inside the body print as `iv + step`.
-        self.materialized.remove(&cl.next);
-
-        // Loop-carried (non-IV) phis materialize as variables around the
-        // loop, exactly as in the `for` reconstruction.
-        let mut pre_stmts = Vec::new();
-        let mut latch_assigns: Vec<(InstId, Value)> = Vec::new();
-        for &i in &self.f.block(l.header).insts.clone() {
-            if let InstKind::Phi { incomings } = self.f.inst(i).kind.clone() {
-                if i == cl.iv {
-                    continue;
-                }
-                let name = self.name_of(i);
-                let origin = self
-                    .naming
-                    .names
-                    .get(&i)
-                    .map(|(_, o)| *o)
-                    .unwrap_or(NameOrigin::Register);
-                self.var_origins.entry(name.clone()).or_insert(origin);
-                self.materialized.insert(i);
-                for (from, v) in incomings {
-                    if l.contains(from) {
-                        latch_assigns.push((i, v));
-                    } else {
-                        let init = self.expr_of_value(v);
-                        if self.declared.insert(name.clone()) {
-                            let ty = ctype_of(self.f.inst(i).ty);
-                            self.declare(name.clone(), ty, Some(init), &mut pre_stmts);
-                        } else {
-                            pre_stmts.push(CStmt::Expr(CExpr::Assign {
-                                lhs: Box::new(CExpr::ident(name.clone())),
-                                op: None,
-                                rhs: Box::new(init),
-                            }));
-                        }
-                    }
-                }
-            } else {
-                break;
-            }
-        }
-        out.extend(pre_stmts);
 
         // Initialize the IV before the loop.
         let init = self.expr_of_value(cl.init);
-        if self.declared.insert(iv_name.clone()) {
-            self.declare(iv_name.clone(), CType::UInt64, Some(init), out);
+        if self.first_declaration(iv_var) {
+            self.declare(iv_name.to_string(), CType::UInt64, Some(init), out);
         } else {
-            out.push(CStmt::Expr(CExpr::Assign {
-                lhs: Box::new(CExpr::ident(iv_name.clone())),
-                op: None,
-                rhs: Box::new(init),
-            }));
+            out.push(assign(&*iv_name, init));
         }
 
-        let ctx = LoopCtx {
-            header: l.header,
-            latch_test: Some(cl.cmp),
-            exit: l.exits.first().copied(),
-        };
-        let mut body = Vec::new();
-        self.emit_region(l.header, None, Some(ctx), &mut body);
-        // Loop-carried variable updates at the end of the body (before the
-        // IV step, which they may read).
-        for (phi, v) in latch_assigns {
-            let name = self.name_of(phi);
-            let rhs = self.expr_of_value(v);
-            if rhs == CExpr::ident(name.clone()) {
-                continue;
-            }
-            if let Value::Inst(d) = v {
-                if self.materialized.contains(&d) && self.name_of(d) == name {
-                    continue;
-                }
-            }
-            body.push(CStmt::Expr(CExpr::Assign {
-                lhs: Box::new(CExpr::ident(name)),
-                op: None,
-                rhs: Box::new(rhs),
-            }));
-        }
-        // The explicit IV step closes the body.
-        body.push(CStmt::Expr(CExpr::Assign {
-            lhs: Box::new(CExpr::ident(iv_name.clone())),
-            op: None,
-            rhs: Box::new(CExpr::bin(
-                if cl.step >= 0 {
-                    CBinOp::Add
-                } else {
-                    CBinOp::Sub
-                },
-                CExpr::ident(iv_name.clone()),
-                CExpr::Int(cl.step.abs()),
-            )),
-        }));
+        // Loop-carried variable updates come before the IV step, which
+        // they may read; the explicit step closes the body.
+        let mut body = self.counted_body(l, cl, latch_assigns);
+        body.push(CStmt::Expr(iv_step(&iv_name, cl)));
 
         // Continue test against the updated IV. After the step, `iv` holds
         // what the latch compare called `next`; when the compare tested the
         // pre-increment value instead, undo the step in the test.
-        let cont_pred = if cl.continue_on_true {
-            cl.pred
-        } else {
-            cl.pred.negated()
-        };
-        let cmp_op = match cont_pred {
-            IPred::Slt => CBinOp::Lt,
-            IPred::Sle => CBinOp::Le,
-            IPred::Sgt => CBinOp::Gt,
-            IPred::Sge => CBinOp::Ge,
-            IPred::Ne => CBinOp::Ne,
-            IPred::Eq => CBinOp::Eq,
-        };
         let tested = if cl.cmp_uses_next {
-            CExpr::ident(iv_name.clone())
+            CExpr::ident(&*iv_name)
         } else {
             CExpr::bin(
                 if cl.step >= 0 {
@@ -1151,14 +1071,14 @@ impl<'a> Structurer<'a> {
                 } else {
                     CBinOp::Add
                 },
-                CExpr::ident(iv_name.clone()),
+                CExpr::ident(&*iv_name),
                 CExpr::Int(cl.step.abs()),
             )
         };
-        let cond = CExpr::bin(cmp_op, tested, self.expr_of_value(cl.bound));
+        let cond = CExpr::bin(continue_op(cl), tested, self.expr_of_value(cl.bound));
         out.push(CStmt::DoWhile { body, cond });
-        for b in l.blocks {
-            self.visited.insert(b);
+        for &b in &l.blocks {
+            self.visited[b.index()] = true;
         }
     }
 
@@ -1166,54 +1086,38 @@ impl<'a> Structurer<'a> {
     /// counted top-tested -> `for`; otherwise do-while/while fallback.
     /// Returns the continuation block.
     fn emit_loop(&mut self, lid: LoopId, out: &mut Vec<CStmt>) -> Option<BlockId> {
-        let l = self.li.get(lid).clone();
-        let exit = l.exits.first().copied();
-        if let Some((_, cl)) = self.counted.get(&l.header).cloned() {
-            if cl.bottom_tested && self.opts.detransform_rotation {
-                // Rotated loop entered without a guard: the compiler proved
-                // it non-empty; the for form is equivalent and natural.
-                self.emit_counted_loop(lid, &cl, out);
-                return exit;
+        let li = self.li;
+        let l = li.get(lid);
+        match self.counted[l.header.index()].clone() {
+            Some((_, cl)) if cl.bottom_tested && !self.opts.detransform_rotation => {
+                self.emit_do_while(lid, &cl, out)
             }
-            if cl.bottom_tested {
-                self.emit_do_while(lid, &cl, out);
-                return exit;
-            }
-            // Top-tested counted loop (rotation did not fire).
-            self.emit_counted_loop_top_tested(lid, &cl, out);
-            return exit;
+            // A rotated loop entered without a guard: the compiler proved
+            // it non-empty, so the for form is equivalent and natural. A
+            // top-tested counted loop (rotation did not fire) holds phi +
+            // cmp + condbr in its header with the body hanging off it,
+            // which the same emission handles.
+            Some((_, cl)) => self.emit_counted_loop(lid, &cl, out),
+            // Not counted: structure as a while(1)-free goto fallback.
+            None => self.emit_unstructured_loop(l, out),
         }
-        // Not counted: structure as a while(1)-free goto fallback.
-        self.emit_unstructured_loop(lid, out);
-        exit
+        l.exits.first().copied()
     }
 
-    fn emit_counted_loop_top_tested(
-        &mut self,
-        lid: LoopId,
-        cl: &CountedLoop,
-        out: &mut Vec<CStmt>,
-    ) {
-        // The header holds phi + cmp + condbr; the body hangs off it. The
-        // canonical-for emission already handles exactly this shape.
-        self.emit_counted_loop(lid, cl, out);
-    }
-
-    fn emit_unstructured_loop(&mut self, lid: LoopId, out: &mut Vec<CStmt>) {
+    fn emit_unstructured_loop(&mut self, l: &Loop, out: &mut Vec<CStmt>) {
         // Fallback: label + blocks + conditional gotos. Correct for any
         // shape; used only when loop recognition fails.
-        let l = self.li.get(lid).clone();
         self.gotos += 1;
-        self.need_label.insert(l.header);
+        self.need_label[l.header.index()] = true;
         out.push(CStmt::Label(format!("bb{}", l.header.0)));
         let header = l.header;
-        self.visited.insert(header);
+        self.visited[header.index()] = true;
         self.emit_block_stmts(header, out);
         if let Some(term) = self.f.terminator(header) {
-            match self.f.inst(term).kind.clone() {
+            match self.f.inst(term).kind {
                 InstKind::Br { target } => {
                     out.push(CStmt::Goto(format!("bb{}", target.0)));
-                    self.need_label.insert(target);
+                    self.need_label[target.index()] = true;
                 }
                 InstKind::CondBr {
                     cond,
@@ -1226,16 +1130,16 @@ impl<'a> Structurer<'a> {
                         then_body: vec![CStmt::Goto(format!("bb{}", then_bb.0))],
                         else_body: vec![CStmt::Goto(format!("bb{}", else_bb.0))],
                     });
-                    self.need_label.insert(then_bb);
-                    self.need_label.insert(else_bb);
+                    self.need_label[then_bb.index()] = true;
+                    self.need_label[else_bb.index()] = true;
                     self.gotos += 2;
                 }
                 _ => {}
             }
         }
-        for b in l.blocks {
-            if !self.visited.contains(&b) {
-                self.visited.insert(b);
+        for &b in &l.blocks {
+            if !self.visited[b.index()] {
+                self.visited[b.index()] = true;
                 out.push(CStmt::Label(format!("bb{}", b.0)));
                 self.emit_block_stmts(b, out);
             }
@@ -1271,7 +1175,7 @@ impl<'a> Structurer<'a> {
                     for &(op, phi) in &info.reductions {
                         clauses
                             .reduction
-                            .push((op.clause_name().to_string(), self.name_of(phi)));
+                            .push((op.clause_name().to_string(), self.name_of(phi).into()));
                     }
                     out.push(CStmt::OmpSimd {
                         clauses,
@@ -1281,5 +1185,80 @@ impl<'a> Structurer<'a> {
                 _ => out.push(loop_stmt),
             },
         }
+    }
+}
+
+/// `name = rhs;`
+fn assign(name: impl Into<String>, rhs: CExpr) -> CStmt {
+    CStmt::Expr(CExpr::Assign {
+        lhs: Box::new(CExpr::ident(name)),
+        op: None,
+        rhs: Box::new(rhs),
+    })
+}
+
+/// The C operator of a counted loop's continue test.
+fn continue_op(cl: &CountedLoop) -> CBinOp {
+    let pred = if cl.continue_on_true {
+        cl.pred
+    } else {
+        cl.pred.negated()
+    };
+    match pred {
+        IPred::Slt => CBinOp::Lt,
+        IPred::Sle => CBinOp::Le,
+        IPred::Sgt => CBinOp::Gt,
+        IPred::Sge => CBinOp::Ge,
+        IPred::Ne => CBinOp::Ne,
+        IPred::Eq => CBinOp::Eq,
+    }
+}
+
+/// `iv = iv ± |step|`
+fn iv_step(iv_name: &str, cl: &CountedLoop) -> CExpr {
+    CExpr::Assign {
+        lhs: Box::new(CExpr::ident(iv_name)),
+        op: None,
+        rhs: Box::new(CExpr::bin(
+            if cl.step >= 0 {
+                CBinOp::Add
+            } else {
+                CBinOp::Sub
+            },
+            CExpr::ident(iv_name),
+            CExpr::Int(cl.step.abs()),
+        )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use splendid_ir::builder::FuncBuilder;
+
+    #[test]
+    fn values_the_naming_left_unnamed_are_declared_once_under_their_id() {
+        let mut m = Module::new("m");
+        let mut b = FuncBuilder::new(&mut m, "f", &[("a", Type::I64)], Type::I64);
+        let v = b.bin(BinOp::Add, Type::I64, b.arg(0), Value::i64(1), "");
+        let w = b.bin(BinOp::Mul, Type::I64, v, v, "");
+        b.ret(Some(w));
+        let fid = b.finish();
+        let st = structure_function(
+            &m,
+            m.func(fid),
+            &Naming::default(),
+            &StructureOptions::default(),
+        )
+        .unwrap();
+        let name = format!("v{}", v.as_inst().unwrap().0);
+        assert_eq!(st.variables, [(name.clone(), NameOrigin::Register)]);
+        let decls = st
+            .cfunc
+            .body
+            .iter()
+            .filter(|s| matches!(s, CStmt::Decl { name: n, .. } if *n == name))
+            .count();
+        assert_eq!(decls, 1, "{:?}", st.cfunc.body);
     }
 }

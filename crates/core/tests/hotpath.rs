@@ -1,32 +1,48 @@
-//! Allocation gate for the daemon's UPDATE hot path.
+//! Allocation gates for two hot paths.
 //!
-//! `span_fingerprints_into` is documented as allocation-free once its
-//! scratch buffers have warmed to the module's function count — that is
-//! the whole point of the span-hash UPDATE design (see DESIGN.md,
+//! **UPDATE.** `span_fingerprints_into` is documented as allocation-free
+//! once its scratch buffers have warmed to the module's function count —
+//! that is the whole point of the span-hash UPDATE design (see DESIGN.md,
 //! "Allocation-free hot path"). This test pins the claim with a counting
 //! `#[global_allocator]`: after one warm-up pass, re-fingerprinting the
 //! same module text any number of times must perform **zero** heap
 //! allocations.
 //!
-//! The test lives in its own integration-test binary so the global
-//! allocator swap cannot interfere with (or be perturbed by) any other
-//! test running in the same process.
+//! **First-time decompilation.** Naming and structuring run on dense
+//! id-indexed tables (see DESIGN.md, "Naming and structuring state"), so
+//! `decompile_function` over the 32 PolyBench functions stays within a
+//! fixed allocation budget.
+//!
+//! The gates live in their own integration-test binary so the global
+//! allocator swap cannot interfere with any other test.
 
 use splendid_core::fingerprint::{span_fingerprints_into, SpanFingerprints};
+use splendid_core::{decompile_function, prepare_module, SplendidOptions, StageTimings};
+use splendid_ir::parser::parse_module;
+use splendid_ir::printer::module_str;
 use splendid_ir::ModuleSpans;
+use splendid_polybench::Harness;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// System allocator with an allocation counter bolted on. Deallocations
-/// are not counted: releasing warm capacity would itself be a bug, but
-/// the gate is about not *acquiring* memory in steady state.
+/// System allocator with a per-thread allocation counter bolted on.
+/// Deallocations are not counted: releasing warm capacity would itself be
+/// a bug, but the gates are about not *acquiring* memory. Counting per
+/// thread keeps each test's window exact while the harness runs other
+/// tests (and its own bookkeeping) on other threads.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -35,12 +51,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 }
@@ -48,8 +64,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far on the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A module text with enough functions and preamble to exercise every
@@ -67,9 +84,6 @@ fn module_text(funcs: usize) -> String {
     text
 }
 
-// One #[test] on purpose: the counter is process-global, so concurrent
-// test threads would see each other's allocations in their measured
-// windows.
 #[test]
 fn warm_span_fingerprints_allocate_nothing() {
     let text = module_text(24);
@@ -108,5 +122,42 @@ fn warm_span_fingerprints_allocate_nothing() {
         after - before,
         0,
         "alternating module sizes must reuse warm capacity"
+    );
+}
+
+/// Allocations `decompile_function` made over the 32 PolyBench functions
+/// when this gate was set (release build): 24,607 with hash-map naming
+/// and structuring state, 13,343 with dense id-indexed tables. The bound
+/// is the latter plus 10%.
+const DECOMPILE_ALLOCATION_BOUND: u64 = 14_677;
+
+#[test]
+fn polybench_decompilation_stays_within_its_allocation_budget() {
+    let opts = SplendidOptions::default();
+    // Every kernel after a text round trip, prepared outside the window.
+    let prepared: Vec<_> = Harness::polly_suite()
+        .expect("the suite lowers")
+        .iter()
+        .map(|(name, m)| {
+            let m = parse_module(&module_str(m)).expect("printed IR parses");
+            prepare_module(&m, &opts, &mut StageTimings::default())
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+        })
+        .collect();
+    let mut timings = StageTimings::default();
+    let mut functions = 0;
+    let before = allocations();
+    for p in &prepared {
+        for fid in p.module.func_ids() {
+            decompile_function(p, fid, &opts, &mut timings).expect("decompiles");
+            functions += 1;
+        }
+    }
+    let used = allocations() - before;
+    assert_eq!(functions, 32, "16 kernels with init + kernel each");
+    eprintln!("decompile_function: {used} allocations over {functions} functions");
+    assert!(
+        used <= DECOMPILE_ALLOCATION_BOUND,
+        "{used} allocations over {functions} functions (bound {DECOMPILE_ALLOCATION_BOUND})"
     );
 }

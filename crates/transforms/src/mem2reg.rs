@@ -66,7 +66,10 @@ pub fn promote_allocas(f: &mut Function) -> Mem2RegStats {
     // phi_for[(block, alloca_idx)] -> phi inst id.
     let mut phi_for: HashMap<(BlockId, usize), InstId> = HashMap::new();
     for (ai, info) in candidates.iter().enumerate() {
+        // Block order, not the set's hash order: phi ids are allocated in
+        // visit order, and they must not depend on the process's hash seed.
         let mut work: Vec<BlockId> = def_blocks[ai].iter().copied().collect();
+        work.sort_unstable();
         let mut has_phi: HashSet<BlockId> = HashSet::new();
         while let Some(b) = work.pop() {
             for &frontier in df.get(&b).map(|v| v.as_slice()).unwrap_or(&[]) {
